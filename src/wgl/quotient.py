@@ -18,13 +18,10 @@ W-elements; keeping both catches convention slips.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
-from .pyramid import Box, HalfInt
-from .uea import Algebra, UEAElement, _ncoeff
-
-Coeff = Union[int, Fraction]
+from .pyramid import Box
+from .uea import Algebra, UEAElement
 
 
 class MElement(UEAElement):
@@ -84,33 +81,9 @@ def is_reduced(x: UEAElement) -> bool:
     return all(cls[ell] != 2 for mono in x.terms for ell in mono)
 
 
-def epsilon0(x: UEAElement) -> Coeff:
-    """Scalar part of a Kazhdan-degree-<=0 element.
-
-    Substitutes (f | letter) for every letter of every monomial.  Defined
-    (and multiplicative) on the degree-<=0 filtration piece only.
-    """
-    deg = x.kazhdan_degree()
-    if deg is not None and deg > 0:
-        raise ValueError(f"epsilon0 needs Kazhdan degree <= 0, got {deg}")
-    fval = x.alg.fval
-    total: Coeff = 0
-    for mono, c in x.terms.items():
-        for ell in mono:
-            if not fval[ell]:
-                break
-        else:
-            total += c
-    return _ncoeff(total)
-
-
 def ad_letters(alg: Algebra) -> Tuple[int, ...]:
     """Letter ids of the degree->=1/2 part, the test set for W-membership."""
     return tuple(lid for lid in range(len(alg.letters)) if alg.cls[lid] >= 1)
-
-
-def ad_invariant(lift: UEAElement) -> bool:
-    return ad_invariant_witness(lift) is None
 
 
 def ad_invariant_witness(lift: UEAElement) -> Optional[Tuple[Box, Box]]:

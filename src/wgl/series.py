@@ -8,11 +8,10 @@ ints.
 
 Matrix inversion runs the geometric series (1+T)^{-1} = sum (-T)^l after
 normalizing by an invertible scalar pivot: either the top-exponent coefficient
-matrix (when it is purely scalar) or the scalar part of the z^0 coefficient —
-on reduced coefficients the latter is exactly the epsilon_0 image.  Row/column
-scaling by scalar z-monomials is available for matrices (e.g. submatrices of
-the shifted matrix) whose pivot only becomes visible after conjugating by
-diag(z^{x(b)}).
+matrix (when it is purely scalar) or the scalar part of the z^0 coefficient.
+Row/column scaling by scalar z-monomials is available for matrices (e.g.
+submatrices of the shifted matrix) whose pivot only becomes visible after
+conjugating by diag(z^{x(b)}).
 
 The ring product used on coefficients is pluggable everywhere (`mul`), so the
 same matrix calculus serves U(g), the W-algebra via lifts, ucirc, and opposite
@@ -21,9 +20,8 @@ products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 from .pyramid import HalfInt, ScalarMatrix
 from .uea import Algebra, UEAElement
@@ -245,10 +243,6 @@ class SeriesElem:
             return self
         return SeriesElem(self.alg, self.terms, nf2)
 
-    def as_exact(self) -> "SeriesElem":
-        """Drop the floor; caller asserts the element is really a polynomial."""
-        return SeriesElem(self.alg, self.terms, None)
-
     # -- comparison --------------------------------------------------------
 
     def first_diff2(self, other: "SeriesElem", floor2: Optional[int] = None):
@@ -325,12 +319,6 @@ class SeriesMatrix:
                           for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, alg: Algebra, rows: int, cols: int, floor=None) -> "SeriesMatrix":
-        f2 = _floor2(floor)
-        return cls(alg, [[SeriesElem(alg, {}, f2) for _ in range(cols)]
-                         for _ in range(rows)])
-
-    @classmethod
     def from_scalar(cls, alg: Algebra, sm: ScalarMatrix, exp2: int = 0) -> "SeriesMatrix":
         return cls(alg, [[SeriesElem(alg, {exp2: alg.scalar(sm[i, j])} if sm[i, j] else {})
                           for j in range(sm.cols)] for i in range(sm.rows)])
@@ -388,10 +376,6 @@ class SeriesMatrix:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "SeriesMatrix":
         return SeriesMatrix(self.alg, [[self.data[i][j] for j in cols] for i in rows])
 
-    def transpose(self) -> "SeriesMatrix":
-        return SeriesMatrix(self.alg, [[self.data[i][j] for i in range(self.rows)]
-                                       for j in range(self.cols)])
-
     def map_entries(self, fn) -> "SeriesMatrix":
         return SeriesMatrix(self.alg, [[fn(e) for e in row] for row in self.data])
 
@@ -448,7 +432,7 @@ def _detect_pivot(M: SeriesMatrix):
 
     Tries the top-exponent coefficient matrix first (decay of the geometric
     tail is then automatic); falls back to the scalar part of the z^0
-    coefficients, which on reduced coefficients is the epsilon_0 image.
+    coefficients.
     """
     n = M.rows
     d2 = M.max_top2()
@@ -486,13 +470,22 @@ def _detect_pivot(M: SeriesMatrix):
 
 
 def invert_matrix(A: SeriesMatrix, floor=None, mul: Optional[MulFn] = None,
-                  row_scale=None, col_scale=None,
-                  max_iter: Optional[int] = None) -> SeriesMatrix:
+                  row_scale=None, col_scale=None) -> SeriesMatrix:
     """Two-sided inverse of a square series matrix, to the requested floor.
 
     row_scale / col_scale (per-index (exp2, coeff) pairs) pre-multiply
     B = Dr·A·Dc before pivoting and return Dc·B^{-1}·Dr, which equals A^{-1};
     they let callers expose a scalar pivot hidden by mixed exponents.
+
+    Every working floor is fixed before the first product.  Entry (i,j) of
+    A^{-1} is entry (i,j) of B^{-1} times z^{cs_i + rs_j}, so B^{-1} is
+    computed down to the requested floor minus the largest such shift.  With
+    a top-exponent pivot C z^d, B^{-1} = (1 + T)^{-1} C^{-1} z^{-d} where T
+    only has negative exponents, and the geometric series is truncated d
+    above the floor of B^{-1}.  With a constant-term pivot T has positive
+    exponents, and truncating it would lose top(T) of depth in every step;
+    the series then has to terminate by itself (T nilpotent) and is summed
+    untruncated.
     """
     if A.rows != A.cols:
         raise ValueError("matrix not square")
@@ -501,31 +494,28 @@ def invert_matrix(A: SeriesMatrix, floor=None, mul: Optional[MulFn] = None,
     f2 = _floor2(floor)
 
     M = A
-    if row_scale is not None:
-        M = M.scale_rows(row_scale)
-    if col_scale is not None:
-        M = M.scale_cols(col_scale)
     inner_f2 = f2
-    if f2 is not None and (row_scale is not None or col_scale is not None):
+    scaled = row_scale is not None or col_scale is not None
+    if scaled:
         rs = row_scale or [(0, 1)] * n
         cs = col_scale or [(0, 1)] * n
-        inner_f2 = f2 - min(cs[i][0] + rs[j][0] for i in range(n) for j in range(n))
+        M = M.scale_rows(rs).scale_cols(cs)
+        if f2 is not None:
+            inner_f2 = f2 - max(e2 for e2, _ in cs) - max(e2 for e2, _ in rs)
 
     d2, C, decaying = _detect_pivot(M)
-    Cinv = C.inverse()
-    fW2 = None if inner_f2 is None else inner_f2 + d2
+    fW2 = inner_f2 + d2 if decaying and inner_f2 is not None else None
 
     # T = C^{-1} z^{-d2} M - 1
-    pre = SeriesMatrix.from_scalar(alg, Cinv, -d2)
+    pre = SeriesMatrix.from_scalar(alg, C.inverse(), -d2)
     T = pre.matmul(M, floor2=fW2) - SeriesMatrix.identity(alg, n)
-    T = T.truncate2(fW2)
+    negT = -T.truncate2(fW2)
 
-    if max_iter is None:
-        max_iter = 2 * n + 16 if fW2 is None else abs(fW2) + 2 * n + 16
-    acc = SeriesMatrix.identity(alg, n, None if fW2 is None else HalfInt(fW2))
+    max_iter = 2 * n + 16 if fW2 is None else abs(fW2) + 2 * n + 16
+    acc = SeriesMatrix.identity(alg, n).truncate2(fW2)
     term = acc
     for _ in range(max_iter):
-        term = (-T).matmul(term, mul, fW2).truncate2(fW2)
+        term = negT.matmul(term, mul, fW2).truncate2(fW2)
         if term.is_zero():
             break
         acc = acc + term
@@ -535,9 +525,7 @@ def invert_matrix(A: SeriesMatrix, floor=None, mul: Optional[MulFn] = None,
             + ("" if decaying else " (constant-term pivot, no exponent decay)"))
 
     Minv = acc.matmul(pre, mul, inner_f2)
-    if row_scale is not None or col_scale is not None:
-        rs = row_scale or [(0, 1)] * n
-        cs = col_scale or [(0, 1)] * n
+    if scaled:
         Minv = Minv.scale_rows(cs).scale_cols(rs)
     return Minv.truncate2(f2)
 
@@ -605,6 +593,18 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
     A_IJ - A_IJc (A_IcJc)^{-1} A_IcJ (unit selectors required, and the inner
     inverse takes the optional scalings); 'both' computes the two and insists
     they agree on the common region.
+
+    Each route runs once, with its working floors derived from the
+    requested floor f and the tops of the factors:
+
+    - definition: A^{-1} to f.  If the sandwich S tops out at z^t with
+      t < 0, inverting S costs 2t of depth, so A^{-1} is recomputed to
+      f + 2t (t is only known after the first inversion); S^{-1} to f.
+    - submatrix: the inner inverse to f - top(Q) - top(R), where
+      Q = A_IJc and R = A_IcJ; Q·inverse is kept to f - top(R), and its
+      product with R to f.
+
+    A route that comes back short of f raises ArithmeticError.
     """
     if A.rows != A.cols:
         raise ValueError("matrix not square")
@@ -612,16 +612,19 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
         raise ValueError("selector shape mismatch")
     f2 = _floor2(floor)
 
-    def by_definition(ask2):
-        B = invert_matrix(A, HalfInt(ask2) if ask2 is not None else None, mul)
+    def half(n2):
+        return None if n2 is None else HalfInt(n2)
+
+    def by_definition():
+        B = invert_matrix(A, half(f2), mul)
         S = sandwich(J1, B, I1)
         t2 = S.max_top2()
-        if ask2 is not None and t2 is not None and t2 < 0:
-            B = invert_matrix(A, HalfInt(ask2 + 2 * t2), mul)
+        if f2 is not None and t2 is not None and t2 < 0:
+            B = invert_matrix(A, HalfInt(f2 + 2 * t2), mul)
             S = sandwich(J1, B, I1)
-        return invert_matrix(S, HalfInt(ask2) if ask2 is not None else None, mul)
+        return invert_matrix(S, half(f2), mul)
 
-    def by_submatrix(ask2):
+    def by_submatrix():
         rowsI = _selector_indices(I1, by_cols=True)
         colsJ = _selector_indices(J1, by_cols=False)
         if rowsI is None or colsJ is None:
@@ -630,34 +633,26 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
         compJ = [j for j in range(A.cols) if j not in colsJ]
         P = A.submatrix(rowsI, colsJ)
         if not compI:
-            return P.truncate2(ask2)
+            return P
         Q = A.submatrix(rowsI, compJ)
         R = A.submatrix(compI, colsJ)
-        tq, tr = Q.max_top2(), R.max_top2()
-        inner_f2 = None
-        if ask2 is not None:
-            inner_f2 = ask2 - ((tq or 0) + (tr or 0))
+        tq, tr = Q.max_top2() or 0, R.max_top2() or 0
         inner = invert_matrix(A.submatrix(compI, compJ),
-                              HalfInt(inner_f2) if inner_f2 is not None else None,
+                              half(None if f2 is None else f2 - tq - tr),
                               mul, row_scale=inner_row_scale, col_scale=inner_col_scale)
-        return P - Q.matmul(inner, mul, ask2).matmul(R, mul, ask2)
+        QI = Q.matmul(inner, mul, None if f2 is None else f2 - tr)
+        return P - QI.matmul(R, mul, f2)
 
     def deliver(build):
-        # Floor metadata only ever shrinks through products, so a first run
-        # may come back valid to a shallower depth than requested; measure
-        # the shortfall and re-run that much deeper, then trim.
+        out = build()
         if f2 is None:
-            return build(None)
-        ask2 = f2
-        for _ in range(4):
-            out = build(ask2)
-            d2 = max((e.floor2 for row in out.data for e in row
-                      if e.floor2 is not None), default=None)
-            if d2 is None or d2 <= f2:
-                return out.truncate2(f2)
-            ask2 -= d2 - f2
-        raise ArithmeticError(f"cannot reach floor z^{HalfInt(f2)}: delivered "
-                              f"only z^{HalfInt(d2)}")
+            return out
+        d2 = max((e.floor2 for row in out.data for e in row
+                  if e.floor2 is not None), default=None)
+        if d2 is not None and d2 > f2:
+            raise ArithmeticError(f"cannot reach floor z^{HalfInt(f2)}: delivered "
+                                  f"only z^{HalfInt(d2)}")
+        return out.truncate2(f2)
 
     if method == "definition":
         return deliver(by_definition)

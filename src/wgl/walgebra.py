@@ -18,7 +18,7 @@ half-integer, or None when the computation is exact (no truncation).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .pyramid import (
     Box,
@@ -26,7 +26,6 @@ from .pyramid import (
     Partition,
     ScalarMatrix,
     box_position,
-    boxes,
     shift_matrix,
     structure_matrices,
     x_coord,
@@ -48,6 +47,7 @@ from .series import (
     noncomm_det,
     quasideterminant,
     yangian_identity_check,
+    _floor2,
 )
 
 __all__ = [
@@ -75,10 +75,17 @@ def default_floor(p: Partition) -> HalfInt:
     return HalfInt(-4 * p.parts[0] - 8)
 
 
-def _floor2_of(floor) -> Optional[int]:
-    if floor is None:
-        return None
-    return HalfInt.of(floor).doubled
+def _floor2_for(p: Partition, floor) -> int:
+    """Doubled truncation floor for p: the given one, else the default.
+
+    L(z) starts at z^{p1}, so a floor above p1 would cut into the leading
+    coefficient; it is refused as bad input.
+    """
+    f2 = _floor2(default_floor(p) if floor is None else floor)
+    if f2 > 2 * p.parts[0]:
+        raise ValueError(f"floor {HalfInt(f2)} is above the top power z^{p.parts[0]} "
+                         "of L(z)")
+    return f2
 
 
 def _floor_str(f2: Optional[int]) -> Optional[str]:
@@ -195,7 +202,7 @@ class LOperator:
         return "\n".join(lines)
 
 
-def build_L(p: Partition, floor=None, method: str = "submatrix") -> LOperator:
+def build_L(p: Partition, floor=None) -> LOperator:
     """Generalized quasideterminant of the shifted matrix at the corner
     selectors (rows of the first boxes, columns of the last boxes of the
     longest rows).
@@ -210,19 +217,18 @@ def build_L(p: Partition, floor=None, method: str = "submatrix") -> LOperator:
     I1, J1 = sm["I1"], sm["J1"]
     p1, r1 = p.parts[0], p.r1
 
-    exact = (p.r == r1) and method == "submatrix" and floor is None
-    if exact:
+    if p.r == r1 and floor is None:
         lift = quasideterminant(A, I1, J1, floor=None, method="submatrix")
         f2 = None
     else:
-        f2 = _floor2_of(floor if floor is not None else default_floor(p))
+        f2 = _floor2_for(p, floor)
         pos = box_position(p)
         rowsI = sorted(pos[Box(i, 1)] for i in range(1, r1 + 1))
         colsJ = sorted(pos[Box(i, p1)] for i in range(1, r1 + 1))
         rb = [b for b in alg.boxes if pos[b] not in rowsI]
         cb = [b for b in alg.boxes if pos[b] not in colsJ]
         rs, cs = _inner_scales(p, rb, cb)
-        lift = quasideterminant(A, I1, J1, floor=HalfInt(f2), method=method,
+        lift = quasideterminant(A, I1, J1, floor=HalfInt(f2), method="submatrix",
                                 inner_row_scale=rs, inner_col_scale=cs)
 
     reduced = lift.map_entries(_reduce_series)
@@ -284,7 +290,7 @@ def main_lemma_sides(p: Partition, floor=None):
     """
     alg = Algebra(p)
     p1, r1 = p.parts[0], p.r1
-    f2 = _floor2_of(floor if floor is not None else default_floor(p))
+    f2 = _floor2_for(p, floor)
     if f2 > -2 * p1:
         raise ValueError(f"floor must be at most -p1 = {-p1}")
     f2w = f2 - max(0, 2 * (p1 - 2))
@@ -343,7 +349,7 @@ def main_lemma_sides(p: Partition, floor=None):
 
 
 def main_lemma_check(p: Partition, floor=None) -> dict:
-    f2 = _floor2_of(floor if floor is not None else default_floor(p))
+    f2 = _floor2_for(p, floor)
     lhs, rhs = main_lemma_sides(p, HalfInt(f2))
     witnesses = []
     d = lhs.first_diff(rhs, f2)
@@ -381,11 +387,9 @@ def w_membership_check(L: LOperator) -> dict:
                    coefficients_checked=checked)
 
 
-def yangian_check_L(L: LOperator, product: str = "lift",
-                    strategy: str = "auto") -> dict:
+def yangian_check_L(L: LOperator) -> dict:
     """Yangian identity for L(z), with the quotient product computed via
-    lifts (reduce after multiplying) or via the ordered splitting of the
-    degree-0 and degree-1/2 parts.
+    lifts (reduce after multiplying).
 
     For a 1x1 operator the defining identity reads
     (z-w)[t(z),t(w)] = -[t(z),t(w)], and over an exact coefficient grid
@@ -394,31 +398,19 @@ def yangian_check_L(L: LOperator, product: str = "lift",
     along its level while antisymmetry negates it end to end.  So the 1x1
     check is pairwise commutation of the series coefficients, either
     computed directly ("direct") or — when a closed generator family covers
-    the partition — by exact rewriting of every coefficient as a polynomial
-    in the family and commuting in that basis ("generators", far cheaper
-    when coefficients are large).  "auto" picks by coefficient bulk.
+    the partition and the coefficients are bulky — by exact rewriting of
+    every coefficient as a polynomial in the family and commuting in that
+    basis ("generators"); the report names the strategy used.
     """
-    if product == "lift":
-        mul = w_product
-    elif product == "ucirc":
-        mul = ucirc_mul
-    else:
-        raise ValueError(f"unknown product {product!r}")
-    if strategy not in ("auto", "direct", "generators"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    extras = {"product": product}
+    extras = {"product": "lift"}
     if L.size == 1:
         a = L.reduced.data[0][0]
         exps = sorted(a.exponents2(), reverse=True)
         coeffs = {n2: a.coeff2(n2) for n2 in exps}
-        family = _generating_family(L.partition) if product == "lift" else None
-        if strategy == "auto":
-            bulk = sum(len(coeffs[m2].terms) * len(coeffs[n2].terms)
-                       for u, m2 in enumerate(exps) for n2 in exps[u + 1:])
-            strategy = "generators" if family and bulk > 2_000_000 else "direct"
-        if strategy == "generators" and family is None:
-            raise ValueError("no closed generator family covers "
-                             f"partition {L.partition} (or product != lift)")
+        family = _generating_family(L.partition)
+        bulk = sum(len(coeffs[m2].terms) * len(coeffs[n2].terms)
+                   for u, m2 in enumerate(exps) for n2 in exps[u + 1:])
+        strategy = "generators" if family and bulk > 2_000_000 else "direct"
         extras["strategy"] = strategy
         witnesses = []
         if strategy == "generators":
@@ -439,7 +431,7 @@ def yangian_check_L(L: LOperator, product: str = "lift",
                 am = coeffs[m2]
                 for n2 in exps[u + 1:]:
                     an = coeffs[n2]
-                    d = mul(am, an) - mul(an, am)
+                    d = w_product(am, an) - w_product(an, am)
                     if not d.is_zero():
                         witnesses.append({
                             "quadruple": (1, 1, 1, 1),
@@ -451,7 +443,7 @@ def yangian_check_L(L: LOperator, product: str = "lift",
         if L.floor is None:
             extras["exact_commutator_zero"] = ok
     else:
-        ok, witnesses = yangian_identity_check(L.reduced, mul=mul)
+        ok, witnesses = yangian_identity_check(L.reduced, mul=w_product)
     f2 = None if L.floor is None else L.floor.doubled
     return _report("yangian", L.partition, f2, ok, witnesses, **extras)
 
@@ -1160,9 +1152,9 @@ def conjecture_check(p: Partition, g: WGenerators, floor=None) -> dict:
 
     With the maximal parts in the top-left corner, the corner
     quasideterminant is the Schur-type expression
-    top-left - top-right * inverse(bottom-right) * bottom-left, and the
-    bottom-right block has the invertible diagonal -(-z)^{q_a} after
-    scaling row a by z^{-q_a}.
+    top-left - top-right * inverse(bottom-right) * bottom-left (the
+    submatrix route of `quasideterminant`), and the bottom-right block has
+    the invertible diagonal -(-z)^{q_a} after scaling row a by z^{-q_a}.
     """
     alg = Algebra(p)
     r, r1 = p.r, p.r1
@@ -1177,24 +1169,16 @@ def conjecture_check(p: Partition, g: WGenerators, floor=None) -> dict:
         L = build_L(p)
         cand = M
         f2 = None
-        difff2 = None
     else:
         L = build_L(p, floor)
         f2 = L.floor.doubled
-        q = p.parts[r1:]
-        W1 = M.submatrix(range(r1), range(r1))
-        W2 = M.submatrix(range(r1), range(r1, r))
-        W3 = M.submatrix(range(r1, r), range(r1))
-        W4 = M.submatrix(range(r1, r), range(r1, r))
-        t23 = (W2.max_top2() or 0) + (W3.max_top2() or 0)
-        inner = invert_matrix(W4, HalfInt(f2 - t23), mul=w_product,
-                              row_scale=[(-2 * qa, 1) for qa in q])
-        cand = (W1 - W2.matmul(inner, w_product, f2).matmul(W3, w_product, f2))
-        cand = cand.truncate2(f2)
-        difff2 = f2
+        sel = ScalarMatrix.from_rows([[int(i == j) for j in range(r1)] for i in range(r)])
+        cand = quasideterminant(M, sel, sel.transpose(), L.floor, mul=w_product,
+                                method="submatrix",
+                                inner_row_scale=[(-2 * qa, 1) for qa in p.parts[r1:]])
 
     witnesses = []
-    d = L.reduced.first_diff(cand, difff2)
+    d = L.reduced.first_diff(cand, f2)
     if d is not None:
         i, j, n2, diff = d
         witnesses.append({"entry": (i + 1, j + 1), "zpow": str(HalfInt(n2)),

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +123,24 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("L", "--partition", "2,1", "--floor", "5"),
+    ("check", "yangian", "--partition", "2,1", "--floor", "3"),
+    ("check", "membership", "--partition", "2,1", "--floor", "3"),
+    ("conjecture", "--partition", "2,1", "--floor", "3"),
+])
+def test_floor_above_the_largest_part_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: floor") and "above the top power z^2" in err
+
+
+def test_floor_equal_to_the_largest_part_is_accepted(capsys):
+    code, out, _ = run(capsys, "L", "--partition", "2,1", "--floor", "2",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["floor"] == "2"
+
+
 def test_failing_check_exits_1(tmp_path, capsys):
     # candidates file with one generator perturbed: the rebuilt L(z) cannot
     # match the direct construction
@@ -159,3 +179,28 @@ def test_candidates_partition_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "conjecture", "--partition", "1,1",
                        "--candidates", str(path))
     assert code == 2 and "candidates" in err
+
+
+# ---------------------------------------------------------------------------
+# golden output: the fast commands of the benchmark's reference table
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+GOLDEN = [
+    *[("L", "--partition", p, "--floor", "-5") for p in ("2,1", "3,1", "2,2")],
+    ("check", "identities", "--n", "3"),
+    ("check", "capelli", "--n", "4"),
+    ("relations", "--partition", "2,2"),
+    ("generators", "--partition", "2,2"),
+    *[("conjecture", "--partition", p, "--floor", "-5") for p in ("2,1", "2,2")],
+]
+
+
+@pytest.mark.parametrize("argv", GOLDEN, ids=" ".join)
+def test_stdout_matches_the_reference_hash(capsys, argv):
+    argv = [*argv, "--format", "json"]
+    want = json.loads(REFERENCE.read_text(encoding="utf-8"))[" ".join(argv)]
+    code, out, _ = run(capsys, *argv)
+    data = out.encode("utf-8")
+    assert (code, len(data)) == (want["rc"], want["bytes"])
+    assert hashlib.sha256(data).hexdigest() == want["sha256"]

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
-from wgl.pyramid import Box, HalfInt, Partition
+from wgl.pyramid import Box, HalfInt, Partition, structure_matrices
 from wgl.quotient import ad_invariant_witness, reduce_mod_I, w_commutator, w_product
+from wgl.series import SeriesElem, SeriesMatrix, quasideterminant
 from wgl.uea import Algebra
 from wgl.walgebra import (
     GeneratorBasis,
@@ -204,3 +207,76 @@ def test_generator_basis_commutators_match_quotient(minimal_basis):
         for y, yrep in enumerate(basis.reps):
             direct = basis.convert(w_commutator(xrep, yrep))
             assert basis.poly_commutator({(x,): 1}, {(y,): 1}) == direct
+
+
+# ---------------------------------------------------------------------------
+# floors computed in advance
+
+
+@pytest.fixture
+def invert_floors(monkeypatch):
+    """Doubled floor of every invert_matrix call made during the test."""
+    import wgl.series
+
+    floors = []
+    orig = wgl.series.invert_matrix
+
+    def spy(A, floor=None, *args, **kwargs):
+        floors.append(wgl.series._floor2(floor))
+        return orig(A, floor, *args, **kwargs)
+
+    monkeypatch.setattr(wgl.series, "invert_matrix", spy)
+    return floors
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 2)])
+def test_truncated_build_L_inverts_once(invert_floors, parts):
+    L = build_L(Partition(parts), -5)
+    assert len(invert_floors) == 1
+    assert {e.floor2 for row in L.lift.data for e in row} == {-10}
+
+
+def test_both_quasideterminant_routes_deliver_on_the_first_pass(invert_floors):
+    # the principal (3) shifted matrix has a constant-term inner pivot
+    p = Partition((3,))
+    sm = structure_matrices(p)
+    q = quasideterminant(build_shifted_matrix(p), sm["I1"], sm["J1"],
+                         floor=HalfInt(-12), method="both")
+    # definition: A^{-1}, A^{-1} deeper by the sandwich top, S^{-1};
+    # submatrix: the inner inverse
+    assert len(invert_floors) == 4
+    assert q.data[0][0].floor2 == -12
+
+
+# ---------------------------------------------------------------------------
+# negative controls: each checker rejects a known-bad L(z) with a witness
+
+
+def _with_entry(L: LOperator, which: str, i: int, j: int, n2: int, extra):
+    """L with `extra` added to the z^{n2/2} coefficient of one entry."""
+    mat = getattr(L, which)
+    e = mat.data[i][j]
+    bumped = SeriesElem(mat.alg, {**e.terms, n2: e.coeff2(n2) + extra}, e.floor2)
+    data = [list(row) for row in mat.data]
+    data[i][j] = bumped
+    return dataclasses.replace(L, **{which: SeriesMatrix(mat.alg, data)})
+
+
+def test_yangian_check_rejects_a_perturbed_coefficient():
+    L = build_L(Partition((2, 2)))
+    one = reduce_mod_I(L.reduced.alg.one())
+    rep = yangian_check_L(_with_entry(L, "reduced", 0, 1, 0, one))
+    assert rep["pass"] is False
+    first = rep["witnesses"][0]
+    assert first["quadruple"] == (1, 1, 1, 2)
+    assert (first["zpow"], first["wpow"]) == ("0", "1")
+
+
+def test_membership_check_names_the_non_invariant_coefficient():
+    L = build_L(Partition((2, 1)), -3)
+    alg = L.lift.alg
+    letter = alg.gen(Box(2, 1), Box(2, 1))
+    assert ad_invariant_witness(letter) is not None
+    rep = w_membership_check(_with_entry(L, "lift", 0, 0, 0, letter))
+    assert rep["pass"] is False
+    assert [(w["entry"], w["zpow"]) for w in rep["witnesses"]] == [((1, 1), "0")]
