@@ -51,9 +51,103 @@ def _parse_floor(text):
     return HalfInt.parse(text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_SEQ = (list, tuple)
+# Chunks held before a write; a batch of L(z) output is about 350 KB.
+_FLUSH = 4096
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _int_rows(o, nl: str):
+    """The indented text of a list of int lists, or None for other lists."""
+    if not all(type(r) in _SEQ and all(type(v) is int for v in r) for r in o):
+        return None
+    inner = nl + "  "
+    sep = "," + inner + "  "
+    rows = [f"[{sep[1:]}{sep.join(map(str, r))}{inner}]" if r else "[]"
+            for r in o]
+    return f"[{inner}{(',' + inner).join(rows)}{nl}]"
+
+
+def _write_json(obj, fh) -> None:
+    """Write json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n".
+
+    The stdlib encoder drops to its pure-Python generators whenever indent is
+    set and joins every chunk before returning.  This one appends to a list
+    that goes to fh every _FLUSH chunks, and renders each list of int lists
+    (a monomial letter, shared per algebra) once per object and depth.
+    """
+    out = []
+    memo = {}
+
+    def enc(o, nl):
+        if isinstance(o, str):
+            out.append(_encode_str(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, float):
+            out.append(json.dumps(o))
+        elif isinstance(o, _SEQ):
+            if not o:
+                out.append("[]")
+                return
+            # The tree outlives this call, so an id names one object here.
+            key = (nl, id(o))
+            text = memo.get(key)
+            if text is None:
+                text = _int_rows(o, nl)
+                if text is not None:
+                    memo[key] = text
+            if text is not None:
+                out.append(text)
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for v in o:
+                out.append(sep)
+                enc(v, inner)
+                sep = "," + inner
+            out.append(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                out.append("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                out.append(f"{sep}{_encode_str(_json_key(k))}: ")
+                enc(v, inner)
+                sep = "," + inner
+            out.append(nl + "}")
+        else:
+            enc(str(o), nl)
+            return
+        if len(out) >= _FLUSH:
+            fh.write("".join(out))
+            out.clear()
+
+    enc(obj, "\n")
+    out.append("\n")
+    fh.write("".join(out))
+
+
 def _emit(obj, fmt: str, to_text) -> None:
     if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True, default=str))
+        _write_json(obj, sys.stdout)
     else:
         print(to_text())
 
@@ -106,16 +200,25 @@ def _generators_for(args) -> WGenerators:
 def _load_candidates(path: str) -> WGenerators:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    p = Partition.parse(obj["partition"]) if isinstance(obj["partition"], str) \
-        else Partition(tuple(obj["partition"]))
-    alg = Algebra(p)
-    table = {}
-    for entry in obj["generators"]:
-        if "key" in entry:
-            i, j, k = entry["key"]
-        else:
-            i, j, k = entry["i"], entry["j"], entry["k"]
-        table[(i, j, k)] = element_from_json(alg, entry["element"])
+    if not isinstance(obj, dict) or "partition" not in obj:
+        raise ValueError("candidates file must be a JSON object with a partition")
+    gens = obj.get("generators")
+    if not isinstance(gens, list) or not all(isinstance(e, dict) for e in gens):
+        raise ValueError("candidates generators must be a list of objects")
+    try:
+        part = obj["partition"]
+        p = Partition.parse(part) if isinstance(part, str) \
+            else Partition(tuple(part))
+        alg = Algebra(p)
+        table = {}
+        for entry in gens:
+            if "key" in entry:
+                i, j, k = entry["key"]
+            else:
+                i, j, k = entry["i"], entry["j"], entry["k"]
+            table[(i, j, k)] = element_from_json(alg, entry["element"])
+    except TypeError as exc:
+        raise ValueError(f"malformed candidates file: {exc}") from exc
     family = obj.get("family", "candidates")
     return WGenerators(family=family, partition=p, table=table, lifts={})
 

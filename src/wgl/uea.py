@@ -61,6 +61,13 @@ class Algebra:
         pairs.sort(key=lambda ab: (grading_class(partition, *ab), ab))
         self.letters: Tuple[Tuple[Box, Box], ...] = tuple(pairs)
         self.letter_id = {ab: n for n, ab in enumerate(pairs)}
+        # Presentation order: tuples of ranks sort exactly as tuples of letters.
+        by_box = sorted(range(len(pairs)), key=pairs.__getitem__)
+        rank = [0] * len(pairs)
+        for r, n in enumerate(by_box):
+            rank[n] = r
+        self.letter_rank = tuple(rank)
+        self.letter_json = tuple(((a.i, a.h), (b.i, b.h)) for a, b in pairs)
         self.cls = tuple(grading_class(partition, a, b) for a, b in pairs)
         self.deg2 = tuple(
             x_coord(partition, a).doubled - x_coord(partition, b).doubled
@@ -331,11 +338,9 @@ class UEAElement:
     # -- presentation -------------------------------------------------------------
 
     def sorted_terms(self):
-        letters = self.alg.letters
-        return sorted(
-            self.terms.items(),
-            key=lambda mc: (len(mc[0]), tuple(letters[ell] for ell in mc[0])),
-        )
+        rank = self.alg.letter_rank.__getitem__
+        return sorted(self.terms.items(),
+                      key=lambda mc: (len(mc[0]), tuple(map(rank, mc[0]))))
 
     def to_text(self) -> str:
         if not self.terms:
@@ -363,18 +368,9 @@ class UEAElement:
         return out
 
     def to_json_obj(self) -> list:
-        letters = self.alg.letters
-        out = []
-        for mono, c in self.sorted_terms():
-            out.append(
-                {
-                    "coeff": str(Fraction(c)),
-                    "monomial": [
-                        [[a.i, a.h], [b.i, b.h]] for a, b in (letters[ell] for ell in mono)
-                    ],
-                }
-            )
-        return out
+        letter = self.alg.letter_json.__getitem__
+        return [{"coeff": str(c), "monomial": list(map(letter, mono))}
+                for mono, c in self.sorted_terms()]
 
     def __repr__(self):
         return self.to_text()
@@ -441,6 +437,9 @@ def element_from_json(alg: Algebra, obj) -> UEAElement:
     """Inverse of to_json_obj; accepts the bare term array or {"terms": [...]}."""
     if isinstance(obj, dict):
         obj = obj.get("terms", [])
+    if not isinstance(obj, list):
+        raise ValueError("an element is a list of terms or an object with "
+                         f"\"terms\", not {type(obj).__name__}")
     words = []
     for entry in obj:
         coeff = Fraction(entry["coeff"])

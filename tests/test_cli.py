@@ -1,10 +1,14 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wgl.cli import main
+from wgl.cli import _write_json, main
+from wgl.pyramid import HalfInt, Partition
+from wgl.walgebra import build_L
 
 
 def run(capsys, *argv):
@@ -171,6 +175,20 @@ def test_candidates_round_trip_passes(tmp_path, capsys):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("content", [
+    [1, 2],
+    {"partition": "2,1",
+     "generators": [{"i": 1, "j": 1, "k": 0, "element": "x"}]},
+], ids=["not-an-object", "element-is-a-string"])
+def test_malformed_candidates_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "candidates.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "conjecture", "--partition", "2,1",
+                         "--floor", "-2", "--candidates", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_candidates_partition_mismatch(tmp_path, capsys):
     code, out, _ = run(capsys, "generators", "--partition", "2",
                        "--format", "json")
@@ -190,9 +208,12 @@ GOLDEN = [
     *[("L", "--partition", p, "--floor", "-5") for p in ("2,1", "3,1", "2,2")],
     ("check", "identities", "--n", "3"),
     ("check", "capelli", "--n", "4"),
-    ("relations", "--partition", "2,2"),
-    ("generators", "--partition", "2,2"),
+    *[("relations", "--partition", p) for p in ("2,1", "2,2")],
+    *[("generators", "--partition", p) for p in ("2,1", "2,2")],
     *[("conjecture", "--partition", p, "--floor", "-5") for p in ("2,1", "2,2")],
+    ("L", "--partition", "2,1,1", "--floor", "-2"),
+    ("check", "premet", "--partition", "2,1"),
+    ("check", "membership", "--partition", "2,1,1", "--floor", "-2"),
 ]
 
 
@@ -204,3 +225,60 @@ def test_stdout_matches_the_reference_hash(capsys, argv):
     data = out.encode("utf-8")
     assert (code, len(data)) == (want["rc"], want["bytes"])
     assert hashlib.sha256(data).hexdigest() == want["sha256"]
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+
+
+_ROWS = st.lists(st.lists(st.integers(), max_size=3), min_size=1, max_size=3)
+_LEAVES = st.one_of(
+    st.text(), st.integers(), st.booleans(), st.none(), st.floats(),
+    st.fractions(), st.integers().map(HalfInt),
+    _ROWS, _ROWS.map(lambda rows: tuple(map(tuple, rows))),
+    # one object per example, so it recurs at several depths
+    st.shared(_ROWS, key="rows"),
+    st.lists(st.lists(st.one_of(st.booleans(), st.floats(), st.integers()),
+                      max_size=2), min_size=1, max_size=2),
+)
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(), kids, max_size=4),
+    st.dictionaries(st.integers(), kids, max_size=3),
+), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TREES)
+def test_write_json_matches_the_stdlib_encoder(obj):
+    buf = io.StringIO()
+    _write_json(obj, buf)
+    assert buf.getvalue() == _stdlib_json(obj)
+
+
+def test_write_json_rejects_the_keys_the_stdlib_rejects():
+    with pytest.raises(TypeError):
+        _stdlib_json({(1, 2): 0})
+    with pytest.raises(TypeError):
+        _write_json({(1, 2): 0}, io.StringIO())
+
+
+class _RecordingSink:
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+
+
+def test_json_output_is_streamed():
+    sink = _RecordingSink()
+    _write_json(build_L(Partition((2, 1, 1)), -2).to_json_obj(), sink)
+    total = sum(sink.sizes)
+    assert total == 1_167_356
+    assert len(sink.sizes) > 1 and max(sink.sizes) < total // 2
