@@ -211,12 +211,15 @@ def _load_candidates(path: str) -> WGenerators:
             else Partition(tuple(part))
         alg = Algebra(p)
         table = {}
-        for entry in gens:
-            if "key" in entry:
-                i, j, k = entry["key"]
-            else:
-                i, j, k = entry["i"], entry["j"], entry["k"]
-            table[(i, j, k)] = element_from_json(alg, entry["element"])
+        for n, entry in enumerate(gens, 1):
+            try:
+                key = entry["key"] if "key" in entry else [entry[f] for f in "ijk"]
+                if not isinstance(key, list) or len(key) != 3:
+                    raise ValueError(f'"key" must be a list [i, j, k], not {json.dumps(key)}')
+                table[tuple(key)] = element_from_json(alg, entry["element"])
+            except (KeyError, ValueError, TypeError) as exc:
+                why = f'missing field "{exc.args[0]}"' if type(exc) is KeyError else exc
+                raise ValueError(f"candidates generator {n}: {why}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed candidates file: {exc}") from exc
     family = obj.get("family", "candidates")

@@ -6,14 +6,15 @@ replacing its trailing degree->=1 block with the product of the character
 values chi(m) = (f|m).  The result is the canonical representative of the
 coset: a polynomial in the degree-<=0 and degree-1/2 letters only.
 
+Since I is a left ideal, U(g) acts on M from the left, and `act` computes
+that action on canonical representatives, reducing after every letter.
 W-algebra membership is the ad-invariance test [a, w]·1 = 0 in M for every
-letter a of degree >= 1/2; products of W-elements can be computed either from
-lifts (reduce(w1*w2) — canonical representatives are themselves valid lifts,
-since they differ from any ad-invariant lift by an element of I, and I is
-contained in the invariant lift set) or through the tensor-factor product
-`ucirc_mul`, which multiplies the degree-<=0 blocks in order and the
-degree-1/2 (Weyl) blocks in the opposite order.  The two must agree on
-W-elements; keeping both catches convention slips.
+letter a of degree >= 1/2, and the product of W-elements is w1·(w2·1), the
+action of the canonical representative of w1 on that of w2 (any lift of w1
+gives the same vector, since I·w2 lies in I for an invariant w2).  The
+tensor-factor product `ucirc_mul` multiplies the degree-<=0 blocks in order
+and the degree-1/2 (Weyl) blocks in the opposite order; the two products must
+agree on W-elements, and keeping both catches convention slips.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class MElement(UEAElement):
 
     Same storage as UEAElement; the invariant is that no letter of grading
     degree >= 1 occurs.  Arithmetic with + and scalar * stays inside M;
-    ordinary * is the ambient U(g) product of the representatives (reduce
-    afterwards if an M-result is wanted).
+    ordinary * is the ambient U(g) product of the representatives (`act`
+    gives the product in M).
     """
 
     __slots__ = ()
@@ -86,11 +87,25 @@ def ad_letters(alg: Algebra) -> Tuple[int, ...]:
     return tuple(lid for lid in range(len(alg.letters)) if alg.cls[lid] >= 1)
 
 
+def act(x: UEAElement, v: MElement) -> MElement:
+    """Canonical representative of x·v in M, for any x in U(g) and reduced v."""
+    if x.alg is not v.alg:
+        raise ValueError("elements belong to different algebras")
+    return MElement(x.alg, x.alg.act_terms(x.terms, v.terms))
+
+
 def ad_invariant_witness(lift: UEAElement) -> Optional[Tuple[Box, Box]]:
-    """None if [a, lift]·1 = 0 for all degree->=1/2 letters a, else a failing letter."""
+    """None if [a, lift]·1 = 0 for all degree->=1/2 letters a, else a failing letter.
+
+    [a, lift]·1 = a·(lift·1) - lift·(a·1), both sides computed in M; a·1 is
+    the scalar chi(a) for a of degree >= 1, and a itself for degree 1/2.
+    """
     alg = lift.alg
+    v = reduce_mod_I(lift)
     for lid in ad_letters(alg):
-        if not reduce_mod_I(alg.gen_by_id(lid).commutator(lift)).is_zero():
+        a = alg.gen_by_id(lid)
+        xa = v.scale(alg.fval[lid]) if alg.cls[lid] == 2 else act(lift, a)
+        if not (act(a, v) - xa).is_zero():
             return alg.letters[lid]
     return None
 
@@ -126,9 +141,9 @@ def ucirc_mul(x: MElement, y: MElement) -> MElement:
 
 
 def w_product(x: MElement, y: MElement) -> MElement:
-    """W-algebra product via lifts: reduce(x*y) on canonical representatives."""
-    return reduce_mod_I(x * y)
+    """W-algebra product: the left action of x on y in M."""
+    return act(x, y)
 
 
 def w_commutator(x: MElement, y: MElement) -> MElement:
-    return reduce_mod_I(x * y - y * x)
+    return MElement(x.alg, (act(x, y) - act(y, x)).terms)

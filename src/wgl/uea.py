@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .pyramid import Box, HalfInt, Partition, boxes, grading_class, x_coord
@@ -30,7 +31,7 @@ _LM_CACHE_CAP = 3_000_000
 
 def _ncoeff(c: Coeff) -> Coeff:
     """Collapse Fractions with unit denominator to plain ints (speed)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -81,6 +82,7 @@ class Algebra:
         )
         self._comm_cache: dict = {}
         self._lm_cache: dict = {}
+        self._act_cache = self._act_memo()
 
     # -- structure constants ------------------------------------------------
 
@@ -106,13 +108,33 @@ class Algebra:
     # -- PBW straightening ---------------------------------------------------
 
     def _letter_mono(self, x: int, mono: tuple):
-        """Normal form of e_x * mono for a PBW-ordered mono; memoized.
+        """Normal form of e_x * mono in U(g) for a PBW-ordered mono; memoized."""
+        return self._straighten(self._lm_cache, x, mono)
+
+    def act_terms(self, left: dict, right: dict) -> dict:
+        """Terms of x·v in M = U(g)/I, for x with terms `left` and a reduced
+        v with terms `right`.
+
+        `_letter_mono`'s walk on a second memo, seeded with e_x·1 = (f|e_x)
+        for the degree->=1 letters: as those sort last, no other rewrite puts
+        one into a reduced monomial.  Past the cap the memo is dropped
+        wholesale, between actions only.
+        """
+        if len(self._act_cache) > _LM_CACHE_CAP:
+            self._act_cache = self._act_memo()
+        return _fold(left, right, partial(self._straighten, self._act_cache))
+
+    def _act_memo(self) -> dict:
+        return {(x, ()): ((((), f),) if f else ())
+                for x, (c, f) in enumerate(zip(self.cls, self.fval)) if c == 2}
+
+    def _straighten(self, memo: dict, x: int, mono: tuple):
+        """Straighten e_x * mono into memo and return its terms.
 
         Iterative dependency walk (no recursion): termination follows from
         the usual diamond-lemma argument — each rewrite either shortens the
         word or removes an inversion.
         """
-        memo = self._lm_cache
         root = (x, mono)
         cached = memo.get(root)
         if cached is not None:
@@ -182,11 +204,14 @@ class Algebra:
         c = _ncoeff(c)
         return UEAElement(self, {(): c} if c != 0 else {})
 
-    def gen(self, a, b) -> "UEAElement":
+    def _lid(self, a, b) -> int:
         lid = self.letter_id.get((Box(*a), Box(*b)))
         if lid is None:
             raise ValueError(f"no generator e[{tuple(a)},{tuple(b)}] for partition {self.partition}")
-        return UEAElement(self, {(lid,): 1})
+        return lid
+
+    def gen(self, a, b) -> "UEAElement":
+        return UEAElement(self, {(self._lid(a, b),): 1})
 
     def gen_by_id(self, lid: int) -> "UEAElement":
         return UEAElement(self, {(lid,): 1})
@@ -204,13 +229,50 @@ class Algebra:
             return parse_element(self, expr)
         total: dict = {}
         for coeff, word in expr:
-            ids = [self.letter_id[(Box(*a), Box(*b))] for a, b in word]
+            ids = [self._lid(a, b) for a, b in word]
             for m, c in self._word_terms(ids, _ncoeff(coeff)).items():
                 total[m] = total.get(m, 0) + c
         return UEAElement(self, total)
 
     def __repr__(self):
         return f"Algebra(gl_{self.N}, partition {self.partition})"
+
+
+def _fold(left: dict, right: dict, step) -> dict:
+    """Terms of sum_u c_u * (u acting on `right`) over the monomials u of
+    `left`, where step(letter, mono) gives one letter times one monomial.
+
+    Folds each word's letters right-to-left onto `right`, sharing partial
+    results between monomials with a common tail: the reversed words are
+    sorted so equal tails are contiguous, then walked as a trie (one fold
+    per distinct tail extension).
+    """
+    res: dict = {}
+    items = sorted((mono[::-1], c) for mono, c in left.items())
+    stack = [(0, len(items), 0, right)]
+    while stack:
+        lo, hi, depth, acc = stack.pop()
+        i = lo
+        csum = 0
+        while i < hi and len(items[i][0]) == depth:
+            csum += items[i][1]
+            i += 1
+        if csum:
+            for mono, c in acc.items():
+                res[mono] = res.get(mono, 0) + csum * c
+        while i < hi:
+            ell = items[i][0][depth]
+            j = i
+            while j < hi and items[j][0][depth] == ell:
+                j += 1
+            nxt: dict = {}
+            for mono, c in acc.items():
+                for m2, c2 in step(ell, mono):
+                    nxt[m2] = nxt.get(m2, 0) + c * c2
+            stack.append((i, j, depth + 1,
+                          {m: c for m, c in nxt.items() if c}))
+            i = j
+    return {m: c for m, c in res.items() if c}
 
 
 class UEAElement:
@@ -266,37 +328,7 @@ class UEAElement:
         alg = self.alg
         if len(alg._lm_cache) > _LM_CACHE_CAP:
             alg._lm_cache.clear()
-        lm = alg._letter_mono
-        res: dict = {}
-        # Fold the left factor's letters right-to-left onto the right factor,
-        # sharing partial results between monomials with a common tail: sort
-        # the reversed words so equal tails are contiguous, then walk them as
-        # a trie (one straightening fold per distinct tail extension).
-        items = sorted((mono[::-1], c) for mono, c in self.terms.items())
-        stack = [(0, len(items), 0, other.terms)]
-        while stack:
-            lo, hi, depth, acc = stack.pop()
-            i = lo
-            csum = 0
-            while i < hi and len(items[i][0]) == depth:
-                csum += items[i][1]
-                i += 1
-            if csum:
-                for mono, c in acc.items():
-                    res[mono] = res.get(mono, 0) + csum * c
-            while i < hi:
-                ell = items[i][0][depth]
-                j = i
-                while j < hi and items[j][0][depth] == ell:
-                    j += 1
-                nxt: dict = {}
-                for mono, c in acc.items():
-                    for m2, c2 in lm(ell, mono):
-                        nxt[m2] = nxt.get(m2, 0) + c * c2
-                stack.append((i, j, depth + 1,
-                              {m: c for m, c in nxt.items() if c}))
-                i = j
-        return UEAElement(alg, {m: c for m, c in res.items() if c})
+        return UEAElement(alg, _fold(self.terms, other.terms, alg._letter_mono))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -33,6 +33,7 @@ from .pyramid import (
 from .uea import Algebra, UEAElement
 from .quotient import (
     MElement,
+    act,
     ad_invariant_witness,
     reduce_mod_I,
     ucirc_mul,
@@ -272,8 +273,7 @@ def _weighted_E(alg: Algebra) -> SeriesMatrix:
 
 
 def _rmul(x: UEAElement, y: UEAElement) -> MElement:
-    # left action on the quotient: reduce after every product
-    return reduce_mod_I(x * y)
+    return act(x, reduce_mod_I(y))
 
 
 def main_lemma_sides(p: Partition, floor=None):
@@ -388,8 +388,8 @@ def w_membership_check(L: LOperator) -> dict:
 
 
 def yangian_check_L(L: LOperator) -> dict:
-    """Yangian identity for L(z), with the quotient product computed via
-    lifts (reduce after multiplying).
+    """Yangian identity for L(z), with the quotient product computed as the
+    left action of one canonical representative on the other in M.
 
     For a 1x1 operator the defining identity reads
     (z-w)[t(z),t(w)] = -[t(z),t(w)], and over an exact coefficient grid

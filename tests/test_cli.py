@@ -189,6 +189,33 @@ def test_malformed_candidates_is_usage_error(tmp_path, capsys, content):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _no_key(gens):
+    g = gens[0]
+    del g["i"], g["j"], g["k"]
+    g["key"] = [1, 1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda gens: gens[0]["element"]["terms"].append(
+        {"coeff": "1", "monomial": [[[9, 9], [1, 1]]]}),
+     "candidates generator 1: no generator e[(9, 9),(1, 1)] for partition 2,1"),
+    (lambda gens: gens[1].pop("element"),
+     'candidates generator 2: missing field "element"'),
+    (_no_key,
+     'candidates generator 1: "key" must be a list [i, j, k], not [1, 1]'),
+], ids=["letter-outside-the-pyramid", "no-element", "key-of-length-2"])
+def test_bad_candidates_entry_is_named(tmp_path, capsys, edit, message):
+    code, out, _ = run(capsys, "generators", "--partition", "2,1",
+                       "--format", "json")
+    obj = json.loads(out)
+    edit(obj["generators"])
+    path = tmp_path / "candidates.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "conjecture", "--partition", "2,1",
+                         "--floor", "-2", "--candidates", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_candidates_partition_mismatch(tmp_path, capsys):
     code, out, _ = run(capsys, "generators", "--partition", "2",
                        "--format", "json")

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from wgl import uea
 from wgl.pyramid import Box, Partition
 from wgl.quotient import (
     MElement,
+    act,
     ad_invariant_witness,
+    ad_letters,
     chi,
     is_reduced,
     reduce_mod_I,
@@ -14,6 +17,7 @@ from wgl.quotient import (
     w_product,
 )
 from wgl.uea import Algebra
+from wgl.walgebra import build_L
 
 from conftest import random_element
 
@@ -114,3 +118,61 @@ def test_melement_json_is_tagged_reduced(alg2):
     obj = reduce_mod_I(alg2.gen(Box(1, 2), Box(1, 1))).to_json_obj()
     assert obj["reduced"] is True
     assert isinstance(obj["terms"], list)
+
+
+# ---------------------------------------------------------------------------
+# the left action of U(g) on M against the lift-product oracle
+
+
+def _raising_factor(alg, rng):
+    """A random element times a random degree->=1 letter (which survives
+    normal ordering: those letters sort last)."""
+    raising = [lid for lid, c in enumerate(alg.cls) if c == 2]
+    return random_element(alg, rng, max_deg=2) * alg.gen_by_id(rng.choice(raising))
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 2), (2, 1, 1)])
+def test_action_is_the_reduced_lift_product(parts):
+    alg = Algebra(Partition(parts))
+    rng = random.Random(len(alg.letters))
+    for _ in range(12):
+        x = random_element(alg, rng) + _raising_factor(alg, rng)
+        v = reduce_mod_I(random_element(alg, rng))
+        assert act(x, v) == reduce_mod_I(x * v)
+        assert w_product(reduce_mod_I(x), v) == reduce_mod_I(reduce_mod_I(x) * v)
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
+def test_ad_witness_agrees_with_the_commutator_oracle(parts):
+    # (3,1) has a degree->=1 letter with chi = 0, e[(1,1),(1,3)]
+    L = build_L(Partition(parts), -3)
+    alg = L.lift.alg
+    coeffs = [se.terms[n2] for row in L.lift.data for se in row
+              for n2 in se.exponents2()]
+    coeffs.append(coeffs[0] + alg.gen(Box(1, 1), Box(1, 1)))
+    for lift in coeffs:
+        v = reduce_mod_I(lift)
+        first = None
+        for lid in ad_letters(alg):
+            a = alg.gen_by_id(lid)
+            oracle = reduce_mod_I(a.commutator(lift))
+            assert act(a, v) - act(lift, reduce_mod_I(a)) == oracle
+            if first is None and not oracle.is_zero():
+                first = alg.letters[lid]
+        assert ad_invariant_witness(lift) == first
+    assert first is not None  # the perturbed coefficient is caught
+
+
+def test_action_memo_is_dropped_past_the_cap(monkeypatch):
+    alg = Algebra(Partition((3, 1)))
+    rng = random.Random(41)
+    pairs = [(random_element(alg, rng) + _raising_factor(alg, rng),
+              reduce_mod_I(random_element(alg, rng))) for _ in range(20)]
+    want = [reduce_mod_I(x * v) for x, v in pairs]
+    monkeypatch.setattr(uea, "_LM_CACHE_CAP", 40)
+    drops = 0
+    for (x, v), w in zip(pairs, want):
+        memo = alg._act_cache
+        assert act(x, v) == w
+        drops += alg._act_cache is not memo
+    assert drops >= 1

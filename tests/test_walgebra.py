@@ -280,3 +280,18 @@ def test_membership_check_names_the_non_invariant_coefficient():
     rep = w_membership_check(_with_entry(L, "lift", 0, 0, 0, letter))
     assert rep["pass"] is False
     assert [(w["entry"], w["zpow"]) for w in rep["witnesses"]] == [((1, 1), "0")]
+
+
+def test_main_lemma_check_names_a_perturbed_coefficient(monkeypatch):
+    import wgl.walgebra
+
+    p = Partition((2, 2))
+    assert main_lemma_check(p, -4)["pass"] is True
+    L = build_L(p)
+    three = reduce_mod_I(L.reduced.alg.scalar(3))
+    bad = _with_entry(L, "reduced", 0, 1, 2, three)
+    monkeypatch.setattr(wgl.walgebra, "build_L", lambda *args, **kwargs: bad)
+    rep = main_lemma_check(p, -4)
+    assert rep["pass"] is False
+    # z^1 of L(z) sits at z^{1-p1} on the right-hand side z^{-p1} L(z)
+    assert rep["witnesses"] == [{"entry": (1, 2), "zpow": "-1", "difference": "-3"}]
