@@ -47,7 +47,10 @@ class HalfInt:
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
-        return cls.of(Fraction(text.strip()))
+        try:
+            return cls.of(Fraction(text.strip()))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"{text!r} has a zero denominator") from exc
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.doubled, 2)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .pyramid import Box
-from .uea import Algebra, UEAElement
+from .uea import Algebra, UEAElement, _fold
 
 
 class MElement(UEAElement):
@@ -129,15 +129,14 @@ def ucirc_mul(x: MElement, y: MElement) -> MElement:
     if x.alg is not y.alg:
         raise ValueError("elements belong to different algebras")
     alg = x.alg
-    total: dict = {}
+    words: dict = {}
     for m1, c1 in x.terms.items():
         a1, q1 = _split_blocks(alg, m1)
         for m2, c2 in y.terms.items():
             a2, q2 = _split_blocks(alg, m2)
             word = a1 + a2 + q2 + q1
-            for mono, c in alg._word_terms(word, c1 * c2).items():
-                total[mono] = total.get(mono, 0) + c
-    return reduce_mod_I(UEAElement(alg, total))
+            words[word] = words.get(word, 0) + c1 * c2
+    return reduce_mod_I(UEAElement(alg, _fold(words, {(): 1}, alg._letter_mono)))
 
 
 def w_product(x: MElement, y: MElement) -> MElement:

@@ -13,9 +13,11 @@ Row/column scaling by scalar z-monomials is available for matrices (e.g.
 submatrices of the shifted matrix) whose pivot only becomes visible after
 conjugating by diag(z^{x(b)}).
 
-The ring product used on coefficients is pluggable everywhere (`mul`), so the
-same matrix calculus serves U(g), the W-algebra via lifts, ucirc, and opposite
-products.
+Series and matrix products, inversion, quasideterminants and the Yangian
+identity check take the ring product used on coefficients as `mul` (the
+U(g) product by default), so the same matrix calculus serves U(g), the
+W-algebra product on M and the opposite product.  Determinants and the mixed
+inverse identity always use the U(g) product.
 """
 
 from __future__ import annotations
@@ -268,7 +270,7 @@ class SeriesElem:
 
     # -- rendering ---------------------------------------------------------
 
-    def to_text(self, var: str = "z") -> str:
+    def to_text(self) -> str:
         if not self.terms and self.floor2 is None:
             return "0"
         parts = []
@@ -278,9 +280,9 @@ class SeriesElem:
             if n2 == 0:
                 parts.append(f"({ctext})")
             else:
-                parts.append(f"({ctext})*{var}^{HalfInt(n2)}")
+                parts.append(f"({ctext})*z^{HalfInt(n2)}")
         if self.floor2 is not None:
-            parts.append(f"O({var}^{HalfInt(self.floor2 - 1)})")
+            parts.append(f"O(z^{HalfInt(self.floor2 - 1)})")
         return " + ".join(parts) if parts else "0"
 
     def to_json_obj(self) -> dict:
@@ -313,9 +315,8 @@ class SeriesMatrix:
         raise AttributeError("SeriesMatrix is immutable")
 
     @classmethod
-    def identity(cls, alg: Algebra, n: int, floor=None) -> "SeriesMatrix":
-        f2 = _floor2(floor)
-        return cls(alg, [[SeriesElem(alg, {0: alg.one()} if i == j else {}, f2)
+    def identity(cls, alg: Algebra, n: int) -> "SeriesMatrix":
+        return cls(alg, [[SeriesElem(alg, {0: alg.one()} if i == j else {})
                           for j in range(n)] for i in range(n)])
 
     @classmethod
@@ -415,11 +416,11 @@ class SeriesMatrix:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [[e.to_json_obj() for e in row] for row in self.data]}
 
-    def to_text(self, var: str = "z") -> str:
+    def to_text(self) -> str:
         lines = []
         for i, row in enumerate(self.data):
             for j, e in enumerate(row):
-                lines.append(f"[{i + 1},{j + 1}] {e.to_text(var)}")
+                lines.append(f"[{i + 1},{j + 1}] {e.to_text()}")
         return "\n".join(lines)
 
 
@@ -540,8 +541,7 @@ def _perm_sign(perm: Tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
-def noncomm_det(A: SeriesMatrix, mode: str = "row",
-                mul: Optional[MulFn] = None) -> SeriesElem:
+def noncomm_det(A: SeriesMatrix, mode: str = "row") -> SeriesElem:
     """Row/column determinant: factors ordered by row (rdet) or column (cdet)."""
     if A.rows != A.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -556,7 +556,7 @@ def noncomm_det(A: SeriesMatrix, mode: str = "row",
             factors = [A.data[perm[i]][i] for i in range(n)]
         prod = factors[0]
         for fct in factors[1:]:
-            prod = prod.mul(fct, mul)
+            prod = prod.mul(fct)
         if _perm_sign(perm) < 0:
             prod = -prod
         total = prod if total is None else total + prod
@@ -673,6 +673,9 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
 # ---------------------------------------------------------------------------
 # bivariate series and the Yangian-type identity
 
+# An identity check stops at this many witnesses.
+_MAX_WITNESSES = 10
+
 
 class BiSeries:
     """Finitely many coefficients c_{mn} z^{m/2} w^{n/2} above per-variable floors."""
@@ -770,8 +773,7 @@ class BiSeries:
         }
 
 
-def yangian_identity_check(A: SeriesMatrix, mul: Optional[MulFn] = None,
-                           max_witnesses: int = 10):
+def yangian_identity_check(A: SeriesMatrix, mul: Optional[MulFn] = None):
     """(z-w)[A_ij(z), A_hk(w)] = A_hj(w)A_ik(z) - A_hj(z)A_ik(w), all quadruples.
 
     Returns (ok, witnesses); a witness records the quadruple, the exponent
@@ -800,20 +802,18 @@ def yangian_identity_check(A: SeriesMatrix, mul: Optional[MulFn] = None,
                             "zpow": str(HalfInt(m2)), "wpow": str(HalfInt(n2)),
                             "difference": diff.to_text(),
                         })
-                        if len(witnesses) >= max_witnesses:
+                        if len(witnesses) >= _MAX_WITNESSES:
                             return False, witnesses
     return not witnesses, witnesses
 
 
-def inverse_mixed_identity_check(A: SeriesMatrix, Ainv: SeriesMatrix,
-                                 mul: Optional[MulFn] = None,
-                                 max_witnesses: int = 10):
+def inverse_mixed_identity_check(A: SeriesMatrix, Ainv: SeriesMatrix):
     """(z-w)[A_ij(z), (A^{-1})_hk(w)] against its delta-sum expansion.
 
     RHS = -delta_hj sum_t A_it(z)(A^{-1})_tk(w) + delta_ik sum_t (A^{-1})_ht(w)A_tj(z).
     """
     n = A.rows
-    cached = _MulCache(mul)
+    cached = _MulCache(_default_mul)
     witnesses = []
     zero = BiSeries(A.alg, {})
     for i in range(n):
@@ -839,6 +839,6 @@ def inverse_mixed_identity_check(A: SeriesMatrix, Ainv: SeriesMatrix,
                             "zpow": str(HalfInt(m2)), "wpow": str(HalfInt(n2)),
                             "difference": diff.to_text(),
                         })
-                        if len(witnesses) >= max_witnesses:
+                        if len(witnesses) >= _MAX_WITNESSES:
                             return False, witnesses
     return not witnesses, witnesses

@@ -10,6 +10,13 @@ broken lexicographically.  Because of that, the trailing block of any
 PBW-ordered monomial is exactly its degree->=1 part, which is what makes
 reduction modulo the left ideal I (module `quotient`) a single substitution
 pass.
+
+All rewriting to PBW normal form is one iterative walk, `_straighten`, run
+over a bracket function and a memo: the gl_N structure constants for U(g)
+and for the action of U(g) on M = U(g)/I, and a generator family's bracket
+table in `walgebra.GeneratorBasis`, whose brackets may be words of several
+letters.  `_fold` multiplies a sum of words onto a sum of normal monomials
+through that walk, sharing common tails.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .pyramid import Box, HalfInt, Partition, boxes, grading_class, x_coord
 
@@ -82,6 +89,8 @@ class Algebra:
         )
         self._comm_cache: dict = {}
         self._lm_cache: dict = {}
+        # normal form of letter x times a PBW-ordered monomial in U(g)
+        self._letter_mono = partial(_straighten, self._lm_cache, self._comm_ids)
         self._act_cache = self._act_memo()
 
     # -- structure constants ------------------------------------------------
@@ -107,90 +116,22 @@ class Algebra:
 
     # -- PBW straightening ---------------------------------------------------
 
-    def _letter_mono(self, x: int, mono: tuple):
-        """Normal form of e_x * mono in U(g) for a PBW-ordered mono; memoized."""
-        return self._straighten(self._lm_cache, x, mono)
-
     def act_terms(self, left: dict, right: dict) -> dict:
         """Terms of x·v in M = U(g)/I, for x with terms `left` and a reduced
         v with terms `right`.
 
-        `_letter_mono`'s walk on a second memo, seeded with e_x·1 = (f|e_x)
+        The straightening walk on a second memo, seeded with e_x·1 = (f|e_x)
         for the degree->=1 letters: as those sort last, no other rewrite puts
         one into a reduced monomial.  Past the cap the memo is dropped
         wholesale, between actions only.
         """
         if len(self._act_cache) > _LM_CACHE_CAP:
             self._act_cache = self._act_memo()
-        return _fold(left, right, partial(self._straighten, self._act_cache))
+        return _fold(left, right, partial(_straighten, self._act_cache, self._comm_ids))
 
     def _act_memo(self) -> dict:
         return {(x, ()): ((((), f),) if f else ())
                 for x, (c, f) in enumerate(zip(self.cls, self.fval)) if c == 2}
-
-    def _straighten(self, memo: dict, x: int, mono: tuple):
-        """Straighten e_x * mono into memo and return its terms.
-
-        Iterative dependency walk (no recursion): termination follows from
-        the usual diamond-lemma argument — each rewrite either shortens the
-        word or removes an inversion.
-        """
-        root = (x, mono)
-        cached = memo.get(root)
-        if cached is not None:
-            return cached
-        stack = [root]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            kx, kmono = key
-            if not kmono or kx <= kmono[0]:
-                memo[key] = (((kx,) + kmono, 1),)
-                stack.pop()
-                continue
-            y, rest = kmono[0], kmono[1:]
-            ready = True
-            dep1 = (kx, rest)
-            got1 = memo.get(dep1)
-            if got1 is None:
-                stack.append(dep1)
-                ready = False
-            else:
-                for m1, _ in got1:
-                    if (y, m1) not in memo:
-                        stack.append((y, m1))
-                        ready = False
-            for t, _ in self._comm_ids(kx, y):
-                if (t, rest) not in memo:
-                    stack.append((t, rest))
-                    ready = False
-            if not ready:
-                continue
-            acc: dict = {}
-            for m1, c1 in memo[dep1]:
-                for m2, c2 in memo[(y, m1)]:
-                    acc[m2] = acc.get(m2, 0) + c1 * c2
-            for t, ct in self._comm_ids(kx, y):
-                for m3, c3 in memo[(t, rest)]:
-                    acc[m3] = acc.get(m3, 0) + ct * c3
-            memo[key] = tuple((m, c) for m, c in acc.items() if c != 0)
-            stack.pop()
-        return memo[root]
-
-    def _word_terms(self, word: Sequence[int], coeff: Coeff = 1) -> dict:
-        """Normal form of an arbitrary generator word, as a term dict."""
-        acc = {(): 1}
-        for ell in reversed(list(word)):
-            nxt: dict = {}
-            for mono, c in acc.items():
-                for m2, c2 in self._letter_mono(ell, mono):
-                    nxt[m2] = nxt.get(m2, 0) + c * c2
-            acc = nxt
-        if coeff != 1:
-            acc = {m: c * coeff for m, c in acc.items()}
-        return acc
 
     # -- element factories ----------------------------------------------------
 
@@ -227,15 +168,80 @@ class Algebra:
         """
         if isinstance(expr, str):
             return parse_element(self, expr)
-        total: dict = {}
+        words: dict = {}
         for coeff, word in expr:
-            ids = [self._lid(a, b) for a, b in word]
-            for m, c in self._word_terms(ids, _ncoeff(coeff)).items():
-                total[m] = total.get(m, 0) + c
-        return UEAElement(self, total)
+            ids = tuple(self._lid(a, b) for a, b in word)
+            words[ids] = words.get(ids, 0) + _ncoeff(coeff)
+        return UEAElement(self, _fold(words, {(): 1}, self._letter_mono))
 
     def __repr__(self):
         return f"Algebra(gl_{self.N}, partition {self.partition})"
+
+
+def _straighten(memo: dict, comm, x, mono: tuple):
+    """Normal form of x·mono for a normal (PBW-ordered) mono, as
+    ((monomial, coeff), ...), memoized in `memo` under the key (x, mono).
+
+    comm(x, y) gives the bracket [x, y] of letters x > y as (head, coeff)
+    pairs, where a head is one letter or a word w of two or more letters.
+    A key (w, mono) stands for w[0]·(w[1:]·mono) and is resolved in the same
+    two stages as y·(x·rest) when x·(y·rest) is rewritten.  Iterative
+    dependency walk (no recursion): termination follows from the usual
+    diamond-lemma argument — each rewrite either shortens the word or
+    removes an inversion.
+
+    Three memos are filled this way: `Algebra._lm_cache` (U(g)),
+    `Algebra._act_cache` (the action on M, seeded with e_x·1 for the
+    degree->=1 letters) and `GeneratorBasis._nf_cache` (a generator family
+    over its bracket table, the only one with word keys).
+    """
+    root = (x, mono)
+    cached = memo.get(root)
+    if cached is not None:
+        return cached
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        kx, kmono = key
+        if type(kx) is tuple:
+            y, terms = kx[0], ()
+            dep1 = (kx[1] if len(kx) == 2 else kx[1:], kmono)
+        elif not kmono or kx <= kmono[0]:
+            memo[key] = (((kx,) + kmono, 1),)
+            stack.pop()
+            continue
+        else:
+            y, rest = kmono[0], kmono[1:]
+            dep1, terms = (kx, rest), comm(kx, y)
+        ready = True
+        got1 = memo.get(dep1)
+        if got1 is None:
+            stack.append(dep1)
+            ready = False
+        else:
+            for m1, _ in got1:
+                if (y, m1) not in memo:
+                    stack.append((y, m1))
+                    ready = False
+        for t, _ in terms:
+            if (t, rest) not in memo:
+                stack.append((t, rest))
+                ready = False
+        if not ready:
+            continue
+        acc: dict = {}
+        for m1, c1 in got1:
+            for m2, c2 in memo[(y, m1)]:
+                acc[m2] = acc.get(m2, 0) + c1 * c2
+        for t, ct in terms:
+            for m3, c3 in memo[(t, rest)]:
+                acc[m3] = acc.get(m3, 0) + ct * c3
+        memo[key] = tuple((m, c) for m, c in acc.items() if c != 0)
+        stack.pop()
+    return memo[root]
 
 
 def _fold(left: dict, right: dict, step) -> dict:
@@ -459,7 +465,7 @@ def parse_element(alg: Algebra, text: str) -> UEAElement:
             else:
                 try:
                     coeff *= Fraction(factor)
-                except ValueError as exc:
+                except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"bad factor {factor!r} in element text") from exc
         total = total + alg.normal_form([(coeff, word)])
     return total
@@ -474,7 +480,10 @@ def element_from_json(alg: Algebra, obj) -> UEAElement:
                          f"\"terms\", not {type(obj).__name__}")
     words = []
     for entry in obj:
-        coeff = Fraction(entry["coeff"])
+        try:
+            coeff = Fraction(entry["coeff"])
+        except ZeroDivisionError as exc:
+            raise ValueError(f'"coeff" {entry["coeff"]!r} has a zero denominator') from exc
         word = [ (tuple(a), tuple(b)) for a, b in entry["monomial"] ]
         words.append((coeff, word))
     return alg.normal_form(words)

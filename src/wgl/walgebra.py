@@ -18,6 +18,7 @@ half-integer, or None when the computation is exact (no truncation).
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .pyramid import (
@@ -30,7 +31,7 @@ from .pyramid import (
     structure_matrices,
     x_coord,
 )
-from .uea import Algebra, UEAElement
+from .uea import Algebra, UEAElement, _fold, _straighten
 from .quotient import (
     MElement,
     act,
@@ -451,12 +452,15 @@ def yangian_check_L(L: LOperator) -> dict:
 # ---------------------------------------------------------------------------
 # Capelli determinants and the two determinant identities
 
+_CAPELLI_MAX_N = 4
 
-def capelli_suite(N: int, bound: int = 4) -> dict:
+
+def capelli_suite(N: int) -> dict:
     """Row determinant of z + E + diag(0,-1,...,-N+1) over gl_N: its z
-    coefficients generate the center, which we verify by brute force."""
-    if not 1 <= N <= bound:
-        raise ValueError(f"N = {N} outside 1..{bound}")
+    coefficients generate the center, which we verify by brute force, for
+    N up to _CAPELLI_MAX_N."""
+    if not 1 <= N <= _CAPELLI_MAX_N:
+        raise ValueError(f"N = {N} outside 1..{_CAPELLI_MAX_N}")
     p = Partition((1,) * N)
     alg = Algebra(p)
     rows = []
@@ -822,6 +826,12 @@ class GeneratorBasis:
     generator family, and commutes such polynomials using the family's
     bracket table.
 
+    A polynomial maps ordered tuples of family letters (indices into
+    `labels`) to coefficients.  `poly_mul` is the straightening walk of
+    `uea` run with `bracket` in place of the gl_N structure constants, on
+    the memo `_nf_cache`; a bracket monomial of two or more letters enters
+    the walk as a word.
+
     Every step is an exact identity: conversion subtracts explicit products
     of the family's canonical representatives until the remainder vanishes,
     and each straightening rewrite substitutes a bracket that was computed
@@ -913,61 +923,25 @@ class GeneratorBasis:
 
     # -- abstract straightening over the bracket table -----------------------
 
-    def bracket(self, x: int, y: int) -> dict:
-        """[letter x, letter y] as an abstract polynomial (x > y)."""
+    def bracket(self, x: int, y: int) -> tuple:
+        """[letter x, letter y] for x > y as (head, coeff) pairs, a head being
+        one letter or a word of two or more letters (`uea._straighten`)."""
         hit = self._bracket_cache.get((x, y))
         if hit is None:
-            val = w_commutator(self.reps[x], self.reps[y])
-            hit = self.convert(val)
+            poly = self.convert(w_commutator(self.reps[x], self.reps[y]))
             bound = self.w2[x] + self.w2[y] - 2
-            for mono in hit:
+            for mono in poly:
                 if sum(self.w2[n] for n in mono) > bound:
                     raise ArithmeticError(
                         f"bracket [{self.label_text(x)},{self.label_text(y)}] "
                         f"breaks the filtration inequality")
+            hit = tuple((m[0] if len(m) == 1 else m, c) for m, c in poly.items())
             self._bracket_cache[(x, y)] = hit
         return hit
 
-    def _nf_letter_mono(self, x: int, mono: tuple) -> dict:
-        """Normal form of letter x times an ordered monomial."""
-        if not mono or x <= mono[0]:
-            return {(x,) + mono: 1}
-        key = (x, mono)
-        hit = self._nf_cache.get(key)
-        if hit is not None:
-            return hit
-        y, rest = mono[0], mono[1:]
-        out: dict = {}
-        for m1, c1 in self._nf_letter_mono(x, rest).items():
-            for m2, c2 in self._nf_letter_mono(y, m1).items():
-                out[m2] = out.get(m2, 0) + c1 * c2
-        for bmono, bc in self.bracket(x, y).items():
-            acc = {rest: bc}
-            for ell in reversed(bmono):
-                nxt: dict = {}
-                for m, c in acc.items():
-                    for m2, c2 in self._nf_letter_mono(ell, m).items():
-                        nxt[m2] = nxt.get(m2, 0) + c * c2
-                acc = nxt
-            for m, c in acc.items():
-                out[m] = out.get(m, 0) + c
-        out = {m: c for m, c in out.items() if c}
-        self._nf_cache[key] = out
-        return out
-
     def poly_mul(self, P: dict, Q: dict) -> dict:
-        out: dict = {}
-        for pm, pc in P.items():
-            acc = {m: c * pc for m, c in Q.items()}
-            for ell in reversed(pm):
-                nxt: dict = {}
-                for m, c in acc.items():
-                    for m2, c2 in self._nf_letter_mono(ell, m).items():
-                        nxt[m2] = nxt.get(m2, 0) + c * c2
-                acc = nxt
-            for m, c in acc.items():
-                out[m] = out.get(m, 0) + c
-        return {m: c for m, c in out.items() if c}
+        """Normal form of P·Q; the monomials of Q must be ordered."""
+        return _fold(P, Q, partial(_straighten, self._nf_cache, self.bracket))
 
     def poly_commutator(self, P: dict, Q: dict) -> dict:
         a = self.poly_mul(P, Q)

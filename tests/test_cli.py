@@ -139,6 +139,17 @@ def test_floor_above_the_largest_part_is_usage_error(capsys, argv):
     assert err.startswith("error: floor") and "above the top power z^2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("L", "--partition", "2,1"),
+    ("check", "yangian", "--partition", "2,1"),
+    ("conjecture", "--partition", "2,1"),
+], ids=["L", "check", "conjecture"])
+def test_zero_denominator_floor_is_usage_error(capsys, argv):
+    # not a ZeroDivisionError traceback, and not a failed check (exit 1)
+    code, out, err = run(capsys, *argv, "--floor", "1/0")
+    assert (code, out, err) == (2, "", "error: '1/0' has a zero denominator\n")
+
+
 def test_floor_equal_to_the_largest_part_is_accepted(capsys):
     code, out, _ = run(capsys, "L", "--partition", "2,1", "--floor", "2",
                        "--format", "json")
@@ -203,7 +214,10 @@ def _no_key(gens):
      'candidates generator 2: missing field "element"'),
     (_no_key,
      'candidates generator 1: "key" must be a list [i, j, k], not [1, 1]'),
-], ids=["letter-outside-the-pyramid", "no-element", "key-of-length-2"])
+    (lambda gens: gens[0]["element"]["terms"][0].update(coeff="1/0"),
+     'candidates generator 1: "coeff" '"'1/0'"' has a zero denominator'),
+], ids=["letter-outside-the-pyramid", "no-element", "key-of-length-2",
+        "zero-denominator"])
 def test_bad_candidates_entry_is_named(tmp_path, capsys, edit, message):
     code, out, _ = run(capsys, "generators", "--partition", "2,1",
                        "--format", "json")

@@ -65,6 +65,16 @@ def test_element_builder_and_parse_round_trip():
     assert element_from_json(alg, x.to_json_obj()) == x
 
 
+def test_zero_denominator_is_a_value_error():
+    alg = Algebra(Partition((2, 1)))
+    with pytest.raises(ValueError, match="bad factor '1/0'"):
+        parse_element(alg, "1/0*e[(1,1),(1,1)]")
+    with pytest.raises(ValueError, match="zero denominator"):
+        element_from_json(alg, [{"coeff": "1/0", "monomial": []}])
+    with pytest.raises(ValueError, match="zero denominator"):
+        HalfInt.parse("-3/0")
+
+
 def test_json_shape(gl2):
     obj = (gl_gen(gl2, 1, 2).scale(Fraction(1, 3)) + gl2.one()).to_json_obj()
     assert isinstance(obj, list)

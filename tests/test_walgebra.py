@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -207,6 +208,40 @@ def test_generator_basis_commutators_match_quotient(minimal_basis):
         for y, yrep in enumerate(basis.reps):
             direct = basis.convert(w_commutator(xrep, yrep))
             assert basis.poly_commutator({(x,): 1}, {(y,): 1}) == direct
+
+
+def _evaluate(basis, poly):
+    out = reduce_mod_I(basis.alg.zero())
+    for mono, c in poly.items():
+        out = out + basis._eval_mono(mono).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("parts, family", [((2, 1, 1), "minimal"),
+                                           ((2, 2), "rectangular")])
+def test_poly_mul_agrees_with_the_product_in_M(parts, family):
+    basis = GeneratorBasis(family_generators(Partition(parts), family))
+    n = len(basis.labels)
+    rng = random.Random(7)
+    for _ in range(4):
+        # left words share their tails, so the fold reuses partial products
+        tails = [(rng.randrange(n),), tuple(sorted(rng.sample(range(n), 2)))]
+        P = {(rng.randrange(n),) * k + tail: rng.choice([-2, -1, 1, 3])
+             for tail in tails for k in (0, 1)}
+        Q = {tuple(sorted(rng.sample(range(n), 2))): 1, (rng.randrange(n),): -2}
+        assert _evaluate(basis, basis.poly_mul(P, Q)) \
+            == w_product(_evaluate(basis, P), _evaluate(basis, Q))
+    heads = [h for terms in basis._bracket_cache.values() for h, _ in terms]
+    # a bracket is linear or quadratic in the family, never constant, and
+    # the quadratic ones enter the walk as word keys
+    assert {len(h) for h in heads if type(h) is tuple} == {2}
+    assert any(type(x) is tuple for x, _ in basis._nf_cache)
+
+
+def test_poly_mul_straightens_a_long_word_without_recursion():
+    basis = GeneratorBasis(family_generators(Partition((3,)), "principal"))
+    word = (0,) * 1500
+    assert basis.poly_mul({(2,): 1}, {word: 1}) == {word + (2,): 1}
 
 
 # ---------------------------------------------------------------------------
