@@ -223,7 +223,7 @@ def _load_candidates(path: str) -> WGenerators:
     except TypeError as exc:
         raise ValueError(f"malformed candidates file: {exc}") from exc
     family = obj.get("family", "candidates")
-    return WGenerators(family=family, partition=p, table=table, lifts={})
+    return WGenerators(family=family, partition=p, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _load_candidates(path: str) -> WGenerators:
 
 def _cmd_L(args) -> int:
     p = _parse_partition(args.partition)
-    L = build_L(p, _parse_floor(args.floor))
+    L = build_L(p, _parse_floor(args.floor), lift=True)
     _emit(L.to_json_obj(), args.format, L.to_text)
     return 0
 

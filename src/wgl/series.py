@@ -470,6 +470,30 @@ def _detect_pivot(M: SeriesMatrix):
         "scalar z^0 part is invertible (consider row/column scaling)")
 
 
+def geometric_series(negT: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn],
+                     floor2: Optional[int], max_iter: int) -> SeriesMatrix:
+    """sum_l negT^l·Y, each term Y_{l+1} = negT·Y_l truncated at floor2.
+
+    negT is used as given.  Truncating it beforehand is safe only when no
+    term of the series has a positive exponent, as in `invert_matrix`, whose
+    series starts at the identity; otherwise a dropped term of negT can reach
+    a product above floor2.  floor2 None sums exactly, which terminates only
+    when negT acts nilpotently.  The sum stops at the first zero term and
+    raises ArithmeticError after max_iter terms.
+
+    The three geometric series of the package run here: `invert_matrix`,
+    the corner series of `walgebra.main_lemma_sides` and the inner inverse of
+    `walgebra.build_L`, the last two with `mul` the action on M.
+    """
+    acc = term = Y.truncate2(floor2)
+    for _ in range(max_iter):
+        term = negT.matmul(term, mul, floor2).truncate2(floor2)
+        if term.is_zero():
+            return acc
+        acc = acc + term
+    raise ArithmeticError(f"geometric series did not terminate in {max_iter} steps")
+
+
 def invert_matrix(A: SeriesMatrix, floor=None, mul: Optional[MulFn] = None,
                   row_scale=None, col_scale=None) -> SeriesMatrix:
     """Two-sided inverse of a square series matrix, to the requested floor.
@@ -513,18 +537,7 @@ def invert_matrix(A: SeriesMatrix, floor=None, mul: Optional[MulFn] = None,
     negT = -T.truncate2(fW2)
 
     max_iter = 2 * n + 16 if fW2 is None else abs(fW2) + 2 * n + 16
-    acc = SeriesMatrix.identity(alg, n).truncate2(fW2)
-    term = acc
-    for _ in range(max_iter):
-        term = negT.matmul(term, mul, fW2).truncate2(fW2)
-        if term.is_zero():
-            break
-        acc = acc + term
-    else:
-        raise ArithmeticError(
-            f"matrix inverse did not stabilize in {max_iter} geometric-series steps"
-            + ("" if decaying else " (constant-term pivot, no exponent decay)"))
-
+    acc = geometric_series(negT, SeriesMatrix.identity(alg, n), mul, fW2, max_iter)
     Minv = acc.matmul(pre, mul, inner_f2)
     if scaled:
         Minv = Minv.scale_rows(cs).scale_cols(rs)
@@ -582,6 +595,19 @@ def sandwich(J1: ScalarMatrix, B: SeriesMatrix, I1: ScalarMatrix) -> SeriesMatri
     alg = B.alg
     return SeriesMatrix.from_scalar(alg, J1).matmul(B).matmul(
         SeriesMatrix.from_scalar(alg, I1))
+
+
+def _deliver(out: SeriesMatrix, f2: Optional[int]) -> SeriesMatrix:
+    """out truncated at the doubled floor f2; ArithmeticError if an entry is
+    known only above f2."""
+    if f2 is None:
+        return out
+    d2 = max((e.floor2 for row in out.data for e in row
+              if e.floor2 is not None), default=None)
+    if d2 is not None and d2 > f2:
+        raise ArithmeticError(f"cannot reach floor z^{HalfInt(f2)}: delivered "
+                              f"only z^{HalfInt(d2)}")
+    return out.truncate2(f2)
 
 
 def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
@@ -643,25 +669,14 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
         QI = Q.matmul(inner, mul, None if f2 is None else f2 - tr)
         return P - QI.matmul(R, mul, f2)
 
-    def deliver(build):
-        out = build()
-        if f2 is None:
-            return out
-        d2 = max((e.floor2 for row in out.data for e in row
-                  if e.floor2 is not None), default=None)
-        if d2 is not None and d2 > f2:
-            raise ArithmeticError(f"cannot reach floor z^{HalfInt(f2)}: delivered "
-                                  f"only z^{HalfInt(d2)}")
-        return out.truncate2(f2)
-
     if method == "definition":
-        return deliver(by_definition)
+        return _deliver(by_definition(), f2)
     if method == "submatrix":
-        return deliver(by_submatrix)
+        return _deliver(by_submatrix(), f2)
     if method != "both":
         raise ValueError(f"unknown method {method!r}")
-    qd = deliver(by_definition)
-    qs = deliver(by_submatrix)
+    qd = _deliver(by_definition(), f2)
+    qs = _deliver(by_submatrix(), f2)
     diff = qd.first_diff(qs)
     if diff is not None:
         i, j, n2, _ = diff

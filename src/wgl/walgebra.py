@@ -8,6 +8,11 @@ three closed generator families (principal, rectangular, minimal), their
 commutator tables, and the block-quasideterminant reconstruction of L(z)
 from a candidate generator table.
 
+L(z) is built in M = U(g)/I: its quasideterminant is computed right to
+left as the action of U(g) on M, so no U(g) product is formed.  Only
+`wgl L`, which prints the U(g) quasideterminant as well, builds that lift
+(`build_L(..., lift=True)`) and reduces it.
+
 Every routine returns a plain report dict:
 
     {"check": ..., "partition": ..., "floor": ..., "pass": bool,
@@ -44,11 +49,14 @@ from .quotient import (
 from .series import (
     SeriesElem,
     SeriesMatrix,
+    geometric_series,
     inverse_mixed_identity_check,
     invert_matrix,
     noncomm_det,
     quasideterminant,
     yangian_identity_check,
+    _deliver,
+    _detect_pivot,
     _floor2,
 )
 
@@ -81,12 +89,18 @@ def _floor2_for(p: Partition, floor) -> int:
     """Doubled truncation floor for p: the given one, else the default.
 
     L(z) starts at z^{p1}, so a floor above p1 would cut into the leading
-    coefficient; it is refused as bad input.
+    coefficient; it is refused as bad input.  So is a floor below twice the
+    default depth, -(4*p1 + 8): the cost of a check grows about threefold per
+    unit of depth, and (2,1,1,1) at -8 already takes minutes and gigabytes.
     """
-    f2 = _floor2(default_floor(p) if floor is None else floor)
+    default = default_floor(p)
+    f2 = _floor2(default if floor is None else floor)
     if f2 > 2 * p.parts[0]:
         raise ValueError(f"floor {HalfInt(f2)} is above the top power z^{p.parts[0]} "
                          "of L(z)")
+    if f2 < 2 * default.doubled:
+        raise ValueError(f"floor {HalfInt(f2)} is below {HalfInt(2 * default.doubled)}, "
+                         f"twice the default depth {default} for partition {p}")
     return f2
 
 
@@ -169,17 +183,19 @@ def _inner_scales(p: Partition, row_boxes: Sequence[Box], col_boxes: Sequence[Bo
 
 @dataclass
 class LOperator:
-    """L(z) together with its un-reduced lift.
+    """L(z), and the U(g) quasideterminant it reduces from when asked for.
 
-    lift is the r1 x r1 quasideterminant of the shifted matrix, with plain
-    enveloping-algebra coefficients; reduced applies the quotient map to
-    every coefficient and is L(z) itself.  floor None means the series is
-    exact (a polynomial, which happens exactly when all parts are equal).
+    reduced is L(z) itself, with coefficients the canonical representatives
+    in M.  lift, when `build_L` was asked for it, is the r1 x r1
+    quasideterminant of the shifted matrix with plain enveloping-algebra
+    coefficients, of which reduced is the image; it is None otherwise.
+    floor None means the series is exact (a polynomial, which happens
+    exactly when all parts are equal).
     """
 
     partition: Partition
     floor: Optional[HalfInt]
-    lift: SeriesMatrix
+    lift: Optional[SeriesMatrix]
     reduced: SeriesMatrix
 
     @property
@@ -190,7 +206,7 @@ class LOperator:
         return {
             "partition": str(self.partition),
             "floor": None if self.floor is None else str(self.floor),
-            "lift": self.lift.to_json_obj(),
+            "lift": None if self.lift is None else self.lift.to_json_obj(),
             "L": self.reduced.to_json_obj(),
         }
 
@@ -204,36 +220,86 @@ class LOperator:
         return "\n".join(lines)
 
 
-def build_L(p: Partition, floor=None) -> LOperator:
-    """Generalized quasideterminant of the shifted matrix at the corner
-    selectors (rows of the first boxes, columns of the last boxes of the
-    longest rows).
+def _quasideterminant_in_M(A: SeriesMatrix, rowsI, colsJ, rs, cs,
+                           f2: Optional[int]) -> SeriesMatrix:
+    """(A_IJ - A_IJc·(A_IcJc)^{-1}·A_IcJ)·1 in M, right to left.
+
+    With P = A_IJ, Q = A_IJc, R = A_IcJ, B = A_IcJc, the scalings Dr = z^rs,
+    Dc = z^cs and the scalar pivot pre = C^{-1} z^{-d} of Dr·B·Dc, the inner
+    inverse is Dc·sum_l (-T)^l·pre·Dr with T = pre·Dr·B·Dc - 1, so
+
+        L·1 = P·1 - Q·(Dc·sum_l (-T)^l·Y0),   Y0 = pre·Dr·(R·1),
+
+    and every product is the action of U(g) on M.  With a top-exponent pivot
+    T only has negative exponents.  It is kept whole, and each Y_l is cut at
+    g = f - top(Q) - max(cs), the depth that the product with Q needs for
+    floor f.  A constant-term pivot (the exact shapes) makes T nilpotent, and
+    the series is summed untruncated.
+    """
+    alg = A.alg
+    compI = [n for n in range(A.rows) if n not in rowsI]
+    compJ = [n for n in range(A.cols) if n not in colsJ]
+    P = A.submatrix(rowsI, colsJ).map_entries(_reduce_series)
+    if not compI:
+        return _deliver(P, f2)
+    Q = A.submatrix(rowsI, compJ)
+    R = A.submatrix(compI, colsJ).map_entries(_reduce_series)
+    B = A.submatrix(compI, compJ).scale_rows(rs).scale_cols(cs)
+    d2, C, decaying = _detect_pivot(B)
+    g2 = None
+    if decaying and f2 is not None:
+        g2 = f2 - (Q.max_top2() or 0) - max(e2 for e2, _ in cs)
+
+    n = len(compI)
+    pre = SeriesMatrix.from_scalar(alg, C.inverse(), -d2)
+    negT = SeriesMatrix.identity(alg, n) - pre.matmul(B, act)
+    Y0 = pre.matmul(R.scale_rows(rs), act)
+    steps = 2 * n + 16
+    t2 = Y0.max_top2()
+    if g2 is not None and t2 is not None:
+        steps += max(0, t2 - g2)     # each term lowers the top by at least 1/2
+    S = geometric_series(negT, Y0, act, g2, steps)
+    return _deliver(P - Q.matmul(S.scale_rows(cs), act, f2), f2)
+
+
+def build_L(p: Partition, floor=None, lift: bool = False) -> LOperator:
+    """L(z): the generalized quasideterminant of the shifted matrix at the
+    corner selectors (rows of the first boxes, columns of the last boxes of
+    the longest rows), reduced to M.
+
+    It is computed in M, right to left, with no U(g) product
+    (`_quasideterminant_in_M`).  lift=True instead forms the quasideterminant
+    in U(g) and reduces it afterwards; only `wgl L` asks for that, since it
+    prints the lift.  Both routes give the same L(z), coefficient by
+    coefficient and floor by floor.
 
     When all parts are equal the complement submatrix is unit-triangular up
     to permutation, the geometric tail is nilpotent, and the result is an
     exact polynomial; otherwise the requested (or default) floor applies.
     """
+    p1, r1 = p.parts[0], p.r1
+    f2 = None if p.r == r1 and floor is None else _floor2_for(p, floor)
     A = build_shifted_matrix(p)
     alg = A.alg
-    sm = structure_matrices(p)
-    I1, J1 = sm["I1"], sm["J1"]
-    p1, r1 = p.parts[0], p.r1
-
-    if p.r == r1 and floor is None:
-        lift = quasideterminant(A, I1, J1, floor=None, method="submatrix")
-        f2 = None
+    pos = box_position(p)
+    rowsI = [pos[Box(i, 1)] for i in range(1, r1 + 1)]
+    colsJ = [pos[Box(i, p1)] for i in range(1, r1 + 1)]
+    if f2 is None:
+        rs = cs = [(0, 1)] * (p.N - r1)
     else:
-        f2 = _floor2_for(p, floor)
-        pos = box_position(p)
-        rowsI = sorted(pos[Box(i, 1)] for i in range(1, r1 + 1))
-        colsJ = sorted(pos[Box(i, p1)] for i in range(1, r1 + 1))
-        rb = [b for b in alg.boxes if pos[b] not in rowsI]
-        cb = [b for b in alg.boxes if pos[b] not in colsJ]
-        rs, cs = _inner_scales(p, rb, cb)
-        lift = quasideterminant(A, I1, J1, floor=HalfInt(f2), method="submatrix",
-                                inner_row_scale=rs, inner_col_scale=cs)
-
-    reduced = lift.map_entries(_reduce_series)
+        rs, cs = _inner_scales(p, [b for b in alg.boxes if pos[b] not in rowsI],
+                               [b for b in alg.boxes if pos[b] not in colsJ])
+    if lift:
+        sm = structure_matrices(p)
+        lifted = quasideterminant(A, sm["I1"], sm["J1"],
+                                  floor=None if f2 is None else HalfInt(f2),
+                                  method="submatrix",
+                                  inner_row_scale=rs, inner_col_scale=cs)
+        reduced = lifted.map_entries(_reduce_series)
+    else:
+        lifted = None
+        reduced = _quasideterminant_in_M(A, rowsI, colsJ, rs, cs, f2) \
+            .map_entries(_reduce_series)
 
     # sanity: the reduced operator must start at -(-z)^{p1} * identity
     top = -((-1) ** p1)
@@ -251,7 +317,7 @@ def build_L(p: Partition, floor=None) -> LOperator:
 
     return LOperator(partition=p,
                      floor=None if f2 is None else HalfInt(f2),
-                     lift=lift,
+                     lift=lifted,
                      reduced=reduced)
 
 
@@ -308,15 +374,7 @@ def main_lemma_sides(p: Partition, floor=None):
         data = [list(zero_row) for _ in range(alg.N)]
         for n, i in enumerate(rowsI):
             data[i] = list(Y.data[n])
-        cur = SeriesMatrix(alg, data)
-        acc = cur
-        for _ in range(lmax):
-            cur = negT.matmul(cur, _rmul, f2w).truncate2(f2w)
-            if cur.is_zero():
-                break
-            acc = acc + cur
-        else:
-            raise ArithmeticError("weighted geometric series did not terminate")
+        acc = geometric_series(negT, SeriesMatrix(alg, data), _rmul, f2w, lmax)
         return SeriesMatrix(alg, [acc.data[j] for j in rowsJ]).truncate2(f2w)
 
     one = SeriesMatrix.from_scalar(alg, ScalarMatrix.identity(r1)).map_entries(_reduce_series)
@@ -366,13 +424,21 @@ def main_lemma_check(p: Partition, floor=None) -> dict:
 
 
 def w_membership_check(L: LOperator) -> dict:
-    """Every lift coefficient must commute with g_{>=1/2} inside the
-    quotient — the membership criterion for the invariant subalgebra."""
+    """Every coefficient of L(z) must commute with g_{>=1/2} inside the
+    quotient — the membership criterion for the invariant subalgebra.
+
+    The test reads the reduced coefficients: the verdict is the same for
+    every lift of one.  Two lifts differ by some y = sum_i u_i (m_i - chi(m_i))
+    in I, and for a letter a of degree >= 1/2, [a, y]·1 = a·(y·1) - y·(a·1)
+    = -y·(a·1).  If a has degree >= 1, a·1 = chi(a) and y·1 = 0.  If a has
+    degree 1/2, y·a·1 = sum_i u_i [m_i, a]·1, and [m_i, a] has degree
+    >= 3/2, where chi vanishes.  Either way [a, y]·1 = 0.
+    """
     witnesses = []
     checked = 0
-    for i in range(L.lift.rows):
-        for j in range(L.lift.cols):
-            se = L.lift.data[i][j]
+    for i in range(L.reduced.rows):
+        for j in range(L.reduced.cols):
+            se = L.reduced.data[i][j]
             for n2 in se.exponents2():
                 checked += 1
                 w = ad_invariant_witness(se.terms[n2])
@@ -593,18 +659,15 @@ def rho_det_identities(N: int) -> dict:
 
 @dataclass
 class WGenerators:
-    """A table of generators w_{ij;k} with their lifts.
+    """A table of generators w_{ij;k}.
 
     table maps (i,j,k) with 1 <= i,j <= r and 0 <= k <= min(p_i,p_j)-1 to
-    the reduced representative; lifts holds the representative the family
-    was built from (for the polynomial families, the coefficient of the
-    quasideterminant lift).
+    the reduced representative.
     """
 
     family: str
     partition: Partition
     table: dict
-    lifts: dict
 
     def wmatrix(self) -> SeriesMatrix:
         """The r x r polynomial matrix with (u,v) entry
@@ -646,31 +709,28 @@ class WGenerators:
         return "\n".join(lines)
 
 
-def _extract_polynomial_table(L: LOperator) -> tuple:
+def _extract_polynomial_table(L: LOperator) -> dict:
     """w_{ab;k} = (-1)^k [z^k] L[b][a] for the exact polynomial families."""
     p = L.partition
     p1, r1 = p.parts[0], p.r1
     table = {}
-    lifts = {}
     for a in range(1, r1 + 1):
         for b in range(1, r1 + 1):
             red = L.reduced.data[b - 1][a - 1]
-            lif = L.lift.data[b - 1][a - 1]
             for k in range(p1):
                 s = -1 if k % 2 else 1
                 table[(a, b, k)] = red.coeff2(2 * k).scale(s)
-                lifts[(a, b, k)] = lif.coeff2(2 * k).scale(s)
-    return table, lifts
+    return table
 
 
-def _minimal_table(p: Partition) -> tuple:
+def _minimal_table(p: Partition) -> dict:
     """Closed formulas for the almost-trivial pyramid (2,1,...,1).
 
     Shorthand: boxes (1,1) and (1,2) form the long row; the tail boxes are
     (a+1,1) for a = 1..N-2.  All displayed products are matrix products of
     the row vector built on e_{(a+1,1),(1k)}, the column vector built on
     e_{(1k),(a+1,1)}, and the (N-2)-square block with (a,b) entry
-    e_{(b+1,1),(a+1,1)}.
+    e_{(b+1,1),(a+1,1)}.  The formulas are evaluated in U(g) and reduced.
     """
     alg = Algebra(p)
     n = p.N - 2
@@ -707,8 +767,7 @@ def _minimal_table(p: Partition) -> tuple:
         lifts[(1, a + 2, 0)] = w1p[a]
         for b in range(n):
             lifts[(b + 2, a + 2, 0)] = Wpp[a][b]
-    table = {key: reduce_mod_I(e) for key, e in lifts.items()}
-    return table, lifts
+    return {key: reduce_mod_I(e) for key, e in lifts.items()}
 
 
 def _family_for(p: Partition, family: str) -> None:
@@ -730,21 +789,20 @@ def family_generators(p: Partition, family: str) -> WGenerators:
     rectangular (all parts equal): entrywise the same extraction;
     minimal ((2,1,...,1)): the explicit quadratic formulas.
 
-    Every produced lift is checked for invariance before returning.
+    Every produced generator is checked for invariance before returning.
     """
     _family_for(p, family)
     if family in ("principal", "rectangular"):
-        L = build_L(p)
-        table, lifts = _extract_polynomial_table(L)
+        table = _extract_polynomial_table(build_L(p))
     else:
-        table, lifts = _minimal_table(p)
+        table = _minimal_table(p)
     for key in sorted(table):
         w = ad_invariant_witness(table[key])
         if w is not None:
             i, j, k = key
             raise ArithmeticError(
                 f"w[{i},{j};{k}] is not invariant: moved by e[{w[0]}][{w[1]}]")
-    return WGenerators(family=family, partition=p, table=table, lifts=lifts)
+    return WGenerators(family=family, partition=p, table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,27 @@ def test_floor_above_the_largest_part_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("L", "--partition", "2,1"),
     ("check", "yangian", "--partition", "2,1"),
+    ("check", "membership", "--partition", "2,1"),
+    ("conjecture", "--partition", "2,1"),
+], ids=["L", "yangian", "membership", "conjecture"])
+@pytest.mark.parametrize("floor", ["-100000", "-33/2"])
+def test_floor_below_twice_the_default_depth_is_usage_error(capsys, argv, floor):
+    # (2,1) defaults to floor -8; -16 is the deepest floor accepted
+    code, out, err = run(capsys, *argv, f"--floor={floor}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: floor {floor} is below -16, twice the default depth -8 "
+                   "for partition 2,1\n")
+
+
+def test_floor_at_twice_the_default_depth_is_accepted(capsys):
+    code, out, _ = run(capsys, "check", "membership", "--partition", "2,1",
+                       "--floor", "-16", "--format", "json")
+    assert code == 0 and json.loads(out)["floor"] == "-16"
+
+
+@pytest.mark.parametrize("argv", [
+    ("L", "--partition", "2,1"),
+    ("check", "yangian", "--partition", "2,1"),
     ("conjecture", "--partition", "2,1"),
 ], ids=["L", "check", "conjecture"])
 def test_zero_denominator_floor_is_usage_error(capsys, argv):
@@ -255,6 +276,9 @@ GOLDEN = [
     ("L", "--partition", "2,1,1", "--floor", "-2"),
     ("check", "premet", "--partition", "2,1"),
     ("check", "membership", "--partition", "2,1,1", "--floor", "-2"),
+    *[("check", what, "--partition", p, "--floor", "-5")
+      for what in ("membership", "main-lemma") for p in ("2,1", "3,1", "2,2")],
+    ("check", "yangian", "--partition", "2,2", "--floor", "-5"),
 ]
 
 
@@ -319,7 +343,7 @@ class _RecordingSink:
 
 def test_json_output_is_streamed():
     sink = _RecordingSink()
-    _write_json(build_L(Partition((2, 1, 1)), -2).to_json_obj(), sink)
+    _write_json(build_L(Partition((2, 1, 1)), -2, lift=True).to_json_obj(), sink)
     total = sum(sink.sizes)
     assert total == 1_167_356
     assert len(sink.sizes) > 1 and max(sink.sizes) < total // 2

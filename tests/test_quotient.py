@@ -145,7 +145,7 @@ def test_action_is_the_reduced_lift_product(parts):
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
 def test_ad_witness_agrees_with_the_commutator_oracle(parts):
     # (3,1) has a degree->=1 letter with chi = 0, e[(1,1),(1,3)]
-    L = build_L(Partition(parts), -3)
+    L = build_L(Partition(parts), -3, lift=True)
     alg = L.lift.alg
     coeffs = [se.terms[n2] for row in L.lift.data for se in row
               for n2 in se.exponents2()]

@@ -266,9 +266,27 @@ def invert_floors(monkeypatch):
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 2)])
 def test_truncated_build_L_inverts_once(invert_floors, parts):
-    L = build_L(Partition(parts), -5)
+    L = build_L(Partition(parts), -5, lift=True)
     assert len(invert_floors) == 1
     assert {e.floor2 for row in L.lift.data for e in row} == {-10}
+
+
+@pytest.mark.parametrize("parts, floor", [
+    ((2, 1), -5), ((3, 1), -5), ((2, 2), -5), ((2, 1, 1), -5),
+    ((2,), None), ((3,), None), ((2, 2), None),
+])
+def test_L_built_in_M_equals_the_reduced_lift(invert_floors, parts, floor):
+    p = Partition(parts)
+    lm_cache = Algebra(p)._lm_cache     # process-global: compare sizes
+    before = len(lm_cache)
+    L = build_L(p, floor)
+    # no inversion and no U(g) product
+    assert invert_floors == [] and len(lm_cache) == before
+    assert L.lift is None
+    oracle = build_L(p, floor, lift=True).reduced
+    assert L.reduced.first_diff(oracle) is None
+    assert [[e.floor2 for e in row] for row in L.reduced.data] \
+        == [[e.floor2 for e in row] for row in oracle.data]
 
 
 def test_both_quasideterminant_routes_deliver_on_the_first_pass(invert_floors):
@@ -309,10 +327,10 @@ def test_yangian_check_rejects_a_perturbed_coefficient():
 
 def test_membership_check_names_the_non_invariant_coefficient():
     L = build_L(Partition((2, 1)), -3)
-    alg = L.lift.alg
+    alg = L.reduced.alg
     letter = alg.gen(Box(2, 1), Box(2, 1))
     assert ad_invariant_witness(letter) is not None
-    rep = w_membership_check(_with_entry(L, "lift", 0, 0, 0, letter))
+    rep = w_membership_check(_with_entry(L, "reduced", 0, 0, 0, letter))
     assert rep["pass"] is False
     assert [(w["entry"], w["zpow"]) for w in rep["witnesses"]] == [((1, 1), "0")]
 
