@@ -1198,6 +1198,9 @@ def conjecture_check(p: Partition, g: WGenerators, floor=None) -> dict:
     M = diag + W
 
     if r == r1:
+        # the comparison is exact, so a given floor is only range-checked
+        if floor is not None:
+            _floor2_for(p, floor)
         L = build_L(p)
         cand = M
         f2 = None

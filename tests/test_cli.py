@@ -154,6 +154,13 @@ def test_floor_below_twice_the_default_depth_is_usage_error(capsys, argv, floor)
                    "for partition 2,1\n")
 
 
+@pytest.mark.parametrize("floor", ["-100000", "3"])
+def test_rectangular_conjecture_range_checks_the_floor_it_does_not_use(capsys, floor):
+    # the rebuilt L(z) of (2,2) is compared exactly, at no floor
+    code, out, err = run(capsys, "conjecture", "--partition", "2,2", f"--floor={floor}")
+    assert (code, out) == (2, "") and err.startswith(f"error: floor {floor} is ")
+
+
 def test_floor_at_twice_the_default_depth_is_accepted(capsys):
     code, out, _ = run(capsys, "check", "membership", "--partition", "2,1",
                        "--floor", "-16", "--format", "json")
