@@ -55,10 +55,6 @@ class HalfInt:
     def as_fraction(self) -> Fraction:
         return Fraction(self.doubled, 2)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
     def _other(self, other) -> int:
         if isinstance(other, HalfInt):
             return other.doubled
@@ -293,10 +289,6 @@ class ScalarMatrix:
     def from_rows(cls, rows: Sequence[Sequence]) -> "ScalarMatrix":
         rows = [list(r) for r in rows]
         return cls(len(rows), len(rows[0]) if rows else 0, rows)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ScalarMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "ScalarMatrix":

@@ -74,7 +74,7 @@ def reduce_mod_I(x: UEAElement) -> MElement:
                 break
         if c:
             out[keep] = out.get(keep, 0) + c
-    return MElement(alg, out)
+    return MElement(alg, {m: c for m, c in out.items() if c})
 
 
 def is_reduced(x: UEAElement) -> bool:
@@ -91,21 +91,21 @@ def act(x: UEAElement, v: MElement) -> MElement:
     """Canonical representative of x·v in M, for any x in U(g) and reduced v."""
     if x.alg is not v.alg:
         raise ValueError("elements belong to different algebras")
-    return MElement(x.alg, x.alg.act_terms(x.terms, v.terms))
+    return MElement(x.alg, _fold(x.terms, v.terms, x.alg._act_cache))
 
 
 def ad_invariant_witness(lift: UEAElement) -> Optional[Tuple[Box, Box]]:
     """None if [a, lift]·1 = 0 for all degree->=1/2 letters a, else a failing letter.
 
     [a, lift]·1 = a·(lift·1) - lift·(a·1), both sides computed in M; a·1 is
-    the scalar chi(a) for a of degree >= 1, and a itself for degree 1/2.
+    the scalar chi(a) in {0, 1} for a of degree >= 1, and a for degree 1/2.
     """
-    alg = lift.alg
-    v = reduce_mod_I(lift)
+    alg, v = lift.alg, reduce_mod_I(lift).terms
     for lid in ad_letters(alg):
-        a = alg.gen_by_id(lid)
-        xa = v.scale(alg.fval[lid]) if alg.cls[lid] == 2 else act(lift, a)
-        if not (act(a, v) - xa).is_zero():
+        a = {(lid,): 1}
+        xa = (v if alg.fval[lid] else {}) if alg.cls[lid] == 2 \
+            else _fold(lift.terms, a, alg._act_cache)
+        if _fold(a, v, alg._act_cache) != xa:
             return alg.letters[lid]
     return None
 
@@ -136,7 +136,7 @@ def ucirc_mul(x: MElement, y: MElement) -> MElement:
             a2, q2 = _split_blocks(alg, m2)
             word = a1 + a2 + q2 + q1
             words[word] = words.get(word, 0) + c1 * c2
-    return reduce_mod_I(UEAElement(alg, _fold(words, {(): 1}, alg._letter_mono)))
+    return reduce_mod_I(UEAElement(alg, _fold(words, {(): 1}, alg._lm_cache)))
 
 
 def w_product(x: MElement, y: MElement) -> MElement:

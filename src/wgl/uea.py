@@ -11,27 +11,28 @@ PBW-ordered monomial is exactly its degree->=1 part, which is what makes
 reduction modulo the left ideal I (module `quotient`) a single substitution
 pass.
 
-All rewriting to PBW normal form is one iterative walk, `_straighten`, run
-over a bracket function and a memo: the gl_N structure constants for U(g)
-and for the action of U(g) on M = U(g)/I, and a generator family's bracket
-table in `walgebra.GeneratorBasis`, whose brackets may be words of several
-letters.  `_fold` multiplies a sum of words onto a sum of normal monomials
-through that walk, sharing common tails.
+All rewriting to PBW normal form is one iterative walk, `_straighten`, in
+a `_Space`: a bracket, an intern table numbering monomials with small ints,
+and a memo keyed by head and id.  The brackets are the gl_N structure
+constants for U(g) (`Algebra._lm_cache`) and for its action on M = U(g)/I
+(`Algebra._act_cache`), and a generator family's table in
+`walgebra.GeneratorBasis`, whose brackets may be words.  `_fold`, the only
+way in, multiplies a sum of words onto normal monomials, sharing tails.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Tuple, Union
 
 from .pyramid import Box, HalfInt, Partition, boxes, grading_class, x_coord
 
 Coeff = Union[int, Fraction]
 
-# Straightening-cache entries are cheap to recompute but can pile up on long
-# runs; past this many the cache is dropped wholesale (only between products,
+# Straightening-memo entries are cheap to recompute but can pile up on long
+# runs; past this many a space is cleared wholesale (only between folds,
 # never mid-walk).
 _LM_CACHE_CAP = 3_000_000
 
@@ -88,10 +89,11 @@ class Algebra:
             1 if (a.i == b.i and b.h == a.h + 1) else 0 for a, b in pairs
         )
         self._comm_cache: dict = {}
-        self._lm_cache: dict = {}
-        # normal form of letter x times a PBW-ordered monomial in U(g)
-        self._letter_mono = partial(_straighten, self._lm_cache, self._comm_ids)
-        self._act_cache = self._act_memo()
+        self._lm_cache = _Space(self._comm_ids)
+        # e_x·1 = (f|e_x) in M for the degree->=1 letters: as those sort
+        # last, no other rewrite puts one into a reduced monomial
+        self._act_cache = _Space(self._comm_ids, {x: ((0, f),) if f else ()
+            for x, (c, f) in enumerate(zip(self.cls, self.fval)) if c == 2})
 
     # -- structure constants ------------------------------------------------
 
@@ -113,25 +115,6 @@ class Algebra:
         res = tuple((t, cf) for t, cf in acc.items() if cf != 0)
         self._comm_cache[key] = res
         return res
-
-    # -- PBW straightening ---------------------------------------------------
-
-    def act_terms(self, left: dict, right: dict) -> dict:
-        """Terms of x·v in M = U(g)/I, for x with terms `left` and a reduced
-        v with terms `right`.
-
-        The straightening walk on a second memo, seeded with e_x·1 = (f|e_x)
-        for the degree->=1 letters: as those sort last, no other rewrite puts
-        one into a reduced monomial.  Past the cap the memo is dropped
-        wholesale, between actions only.
-        """
-        if len(self._act_cache) > _LM_CACHE_CAP:
-            self._act_cache = self._act_memo()
-        return _fold(left, right, partial(_straighten, self._act_cache, self._comm_ids))
-
-    def _act_memo(self) -> dict:
-        return {(x, ()): ((((), f),) if f else ())
-                for x, (c, f) in enumerate(zip(self.cls, self.fval)) if c == 2}
 
     # -- element factories ----------------------------------------------------
 
@@ -157,105 +140,127 @@ class Algebra:
     def gen_by_id(self, lid: int) -> "UEAElement":
         return UEAElement(self, {(lid,): 1})
 
-    def element(self, terms: dict) -> "UEAElement":
-        return UEAElement(self, dict(terms))
-
     def normal_form(self, expr) -> "UEAElement":
-        """Normal form of a formal expression.
-
-        Accepts the element text grammar (see `parse_element`) or an iterable
-        of (coeff, [letter, ...]) pairs, letters given as ((i,h),(j,k)).
-        """
-        if isinstance(expr, str):
-            return parse_element(self, expr)
+        """Normal form of an iterable of (coeff, [letter, ...]) pairs, letters
+        given as ((i,h),(j,k))."""
         words: dict = {}
         for coeff, word in expr:
             ids = tuple(self._lid(a, b) for a, b in word)
-            words[ids] = words.get(ids, 0) + _ncoeff(coeff)
-        return UEAElement(self, _fold(words, {(): 1}, self._letter_mono))
+            words[ids] = words.get(ids, 0) + coeff
+        terms = _fold(words, {(): 1}, self._lm_cache)
+        return UEAElement(self, {m: _ncoeff(c) for m, c in terms.items()})
 
     def __repr__(self):
         return f"Algebra(gl_{self.N}, partition {self.partition})"
 
 
-def _straighten(memo: dict, comm, x, mono: tuple):
-    """Normal form of x·mono for a normal (PBW-ordered) mono, as
-    ((monomial, coeff), ...), memoized in `memo` under the key (x, mono).
+class _Space:
+    """Monomials interned as small ints (`monos[i]` has id i, `ids` maps it
+    back, id 0 is ()), and the memo `rows[x][i]` = x·monos[i] as ((id,
+    coeff), ...) for a head x, a letter or a word; `comm` is the bracket the
+    walk rewrites with, `seed` the rows {x: x·1} the space starts from."""
 
-    comm(x, y) gives the bracket [x, y] of letters x > y as (head, coeff)
-    pairs, where a head is one letter or a word w of two or more letters.
-    A key (w, mono) stands for w[0]·(w[1:]·mono) and is resolved in the same
-    two stages as y·(x·rest) when x·(y·rest) is rewritten.  Iterative
-    dependency walk (no recursion): termination follows from the usual
-    diamond-lemma argument — each rewrite either shortens the word or
-    removes an inversion.
+    __slots__ = ("comm", "seed", "monos", "ids", "rows")
 
-    Three memos are filled this way: `Algebra._lm_cache` (U(g)),
-    `Algebra._act_cache` (the action on M, seeded with e_x·1 for the
-    degree->=1 letters) and `GeneratorBasis._nf_cache` (a generator family
-    over its bracket table, the only one with word keys).
+    def __init__(self, comm, seed: Optional[dict] = None):
+        self.comm = comm
+        self.seed = seed or {}
+        self.clear()
+
+    def clear(self) -> None:
+        self.monos = [()]
+        self.ids = {(): 0}
+        self.rows = defaultdict(dict, {x: {0: v} for x, v in self.seed.items()})
+
+    def __len__(self) -> int:   # memo entries
+        return sum(map(len, self.rows.values()))
+
+    def intern(self, mono: tuple) -> int:
+        i = self.ids.get(mono)
+        if i is None:
+            i = self.ids[mono] = len(self.monos)
+            self.monos.append(mono)
+        return i
+
+
+def _straighten(space: _Space, x, mid: int):
+    """Normal form of x·monos[mid] for a normal (PBW-ordered) monomial, as
+    ((id, coeff), ...), memoized in space.rows[x][mid].
+
+    space.comm(x, y) gives the bracket [x, y] of letters x > y as (head,
+    coeff) pairs, where a head is one letter or a word w of two or more
+    letters.  A key (w, mid) stands for w[0]·(w[1:]·monos[mid]) and is
+    resolved in the same two stages as y·(x·rest) when x·(y·rest) is
+    rewritten.  Iterative dependency walk (no recursion): termination
+    follows from the usual diamond-lemma argument — each rewrite either
+    shortens the word or removes an inversion.  Ids stay valid until the
+    space is cleared, which only `_fold` does, between folds.
     """
-    root = (x, mono)
-    cached = memo.get(root)
-    if cached is not None:
-        return cached
-    stack = [root]
+    comm, monos, rows, intern = space.comm, space.monos, space.rows, space.intern
+    stack = [(x, mid)]
     while stack:
-        key = stack[-1]
-        if key in memo:
+        kx, km = stack[-1]
+        row = rows[kx]
+        if km in row:
             stack.pop()
             continue
-        kx, kmono = key
         if type(kx) is tuple:
-            y, terms = kx[0], ()
-            dep1 = (kx[1] if len(kx) == 2 else kx[1:], kmono)
-        elif not kmono or kx <= kmono[0]:
-            memo[key] = (((kx,) + kmono, 1),)
-            stack.pop()
-            continue
+            y, rest, terms = kx[0], 0, ()
+            dep1 = (kx[1] if len(kx) == 2 else kx[1:], km)
         else:
-            y, rest = kmono[0], kmono[1:]
+            mono = monos[km]
+            if not mono or kx <= mono[0]:
+                row[km] = ((intern((kx,) + mono), 1),)
+                stack.pop()
+                continue
+            y, rest = mono[0], intern(mono[1:])
             dep1, terms = (kx, rest), comm(kx, y)
         ready = True
-        got1 = memo.get(dep1)
+        got1 = rows[dep1[0]].get(dep1[1])
         if got1 is None:
             stack.append(dep1)
             ready = False
         else:
+            ry = rows[y]
             for m1, _ in got1:
-                if (y, m1) not in memo:
+                if m1 not in ry:
                     stack.append((y, m1))
                     ready = False
         for t, _ in terms:
-            if (t, rest) not in memo:
+            if rest not in rows[t]:
                 stack.append((t, rest))
                 ready = False
         if not ready:
             continue
         acc: dict = {}
         for m1, c1 in got1:
-            for m2, c2 in memo[(y, m1)]:
+            for m2, c2 in ry[m1]:
                 acc[m2] = acc.get(m2, 0) + c1 * c2
         for t, ct in terms:
-            for m3, c3 in memo[(t, rest)]:
+            for m3, c3 in rows[t][rest]:
                 acc[m3] = acc.get(m3, 0) + ct * c3
-        memo[key] = tuple((m, c) for m, c in acc.items() if c != 0)
+        row[km] = tuple((m, c) for m, c in acc.items() if c != 0)
         stack.pop()
-    return memo[root]
+    return rows[x][mid]
 
 
-def _fold(left: dict, right: dict, step) -> dict:
-    """Terms of sum_u c_u * (u acting on `right`) over the monomials u of
-    `left`, where step(letter, mono) gives one letter times one monomial.
+def _fold(left: dict, right: dict, space: _Space) -> dict:
+    """Terms, none zero, of sum_u c_u * (u acting on the normal `right`)
+    over the monomials u of `left`, straightened in `space`.
 
     Folds each word's letters right-to-left onto `right`, sharing partial
     results between monomials with a common tail: the reversed words are
     sorted so equal tails are contiguous, then walked as a trie (one fold
-    per distinct tail extension).
+    per distinct tail extension).  Monomials are space ids in between: a
+    step reads its letter's memo row and walks only on a miss.  A space
+    past `_LM_CACHE_CAP` entries is cleared first.
     """
+    if len(space) > _LM_CACHE_CAP:
+        space.clear()
+    rows, monos = space.rows, space.monos
     res: dict = {}
     items = sorted((mono[::-1], c) for mono, c in left.items())
-    stack = [(0, len(items), 0, right)]
+    stack = [(0, len(items), 0, {space.intern(m): c for m, c in right.items()})]
     while stack:
         lo, hi, depth, acc = stack.pop()
         i = lo
@@ -264,34 +269,40 @@ def _fold(left: dict, right: dict, step) -> dict:
             csum += items[i][1]
             i += 1
         if csum:
-            for mono, c in acc.items():
-                res[mono] = res.get(mono, 0) + csum * c
+            for m, c in acc.items():
+                res[m] = res.get(m, 0) + csum * c
         while i < hi:
             ell = items[i][0][depth]
             j = i
             while j < hi and items[j][0][depth] == ell:
                 j += 1
+            row = rows[ell]
             nxt: dict = {}
-            for mono, c in acc.items():
-                for m2, c2 in step(ell, mono):
+            for m, c in acc.items():
+                got = row.get(m)
+                if got is None:
+                    got = _straighten(space, ell, m)
+                for m2, c2 in got:
                     nxt[m2] = nxt.get(m2, 0) + c * c2
             stack.append((i, j, depth + 1,
                           {m: c for m, c in nxt.items() if c}))
             i = j
-    return {m: c for m, c in res.items() if c}
+    return {monos[m]: c for m, c in res.items() if c}
 
 
 class UEAElement:
     """Sparse PBW-normal-form element of U(gl_N).
 
-    Immutable by convention: no method mutates `terms` after construction.
+    `terms` is kept as given: no zero coefficients, integral Fractions best
+    as ints (`_ncoeff`, for speed only).  Immutable by convention: no method
+    mutates `terms` after construction.
     """
 
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg: Algebra, terms: dict):
         self.alg = alg
-        self.terms = {m: _ncoeff(c) for m, c in terms.items() if c != 0}
+        self.terms = terms
 
     # -- ring operations ------------------------------------------------------
 
@@ -306,7 +317,7 @@ class UEAElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return UEAElement(self.alg, out)
+        return UEAElement(self.alg, {m: c for m, c in out.items() if c})
 
     __radd__ = __add__
 
@@ -325,16 +336,13 @@ class UEAElement:
         c = _ncoeff(c)
         if c == 0:
             return self.alg.zero()
-        return UEAElement(self.alg, {m: cf * c for m, cf in self.terms.items()})
+        return UEAElement(self.alg, {m: _ncoeff(cf * c) for m, cf in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        alg = self.alg
-        if len(alg._lm_cache) > _LM_CACHE_CAP:
-            alg._lm_cache.clear()
-        return UEAElement(alg, _fold(self.terms, other.terms, alg._letter_mono))
+        return UEAElement(self.alg, _fold(self.terms, other.terms, self.alg._lm_cache))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -447,11 +455,8 @@ def _split_terms(text: str):
 
 def parse_element(alg: Algebra, text: str) -> UEAElement:
     """Parse the element grammar: `coeff*e[(i,h),(j,k)]*...` joined by +/-."""
-    text = text.strip()
-    if text == "0" or not text:
-        return alg.zero()
-    total = alg.zero()
-    for sign, term in _split_terms(text):
+    words = []
+    for sign, term in _split_terms(text.strip()):
         coeff = Fraction(sign)
         word = []
         for factor in term.split("*"):
@@ -467,8 +472,8 @@ def parse_element(alg: Algebra, text: str) -> UEAElement:
                     coeff *= Fraction(factor)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"bad factor {factor!r} in element text") from exc
-        total = total + alg.normal_form([(coeff, word)])
-    return total
+        words.append((coeff, word))
+    return alg.normal_form(words)
 
 
 def element_from_json(alg: Algebra, obj) -> UEAElement:

@@ -23,7 +23,6 @@ half-integer, or None when the computation is exact (no truncation).
 """
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 from .pyramid import (
@@ -36,7 +35,7 @@ from .pyramid import (
     structure_matrices,
     x_coord,
 )
-from .uea import Algebra, UEAElement, _fold, _straighten
+from .uea import Algebra, UEAElement, _Space, _fold
 from .quotient import (
     MElement,
     act,
@@ -498,13 +497,13 @@ def yangian_check_L(L: LOperator) -> dict:
                 am = coeffs[m2]
                 for n2 in exps[u + 1:]:
                     an = coeffs[n2]
-                    d = w_product(am, an) - w_product(an, am)
-                    if not d.is_zero():
+                    mn, nm = w_product(am, an), w_product(an, am)
+                    if mn.terms != nm.terms:
                         witnesses.append({
                             "quadruple": (1, 1, 1, 1),
                             "zpow": str(HalfInt(m2)),
                             "wpow": str(HalfInt(n2)),
-                            "difference": d.to_text(),
+                            "difference": (mn - nm).to_text(),
                         })
         ok = not witnesses
         if L.floor is None:
@@ -518,15 +517,15 @@ def yangian_check_L(L: LOperator) -> dict:
 # ---------------------------------------------------------------------------
 # Capelli determinants and the two determinant identities
 
-_CAPELLI_MAX_N = 4
+_MAX_N = 4     # for N = 4 the identities already take ~17 s on 2 vCPUs
 
 
 def capelli_suite(N: int) -> dict:
     """Row determinant of z + E + diag(0,-1,...,-N+1) over gl_N: its z
     coefficients generate the center, which we verify by brute force, for
-    N up to _CAPELLI_MAX_N."""
-    if not 1 <= N <= _CAPELLI_MAX_N:
-        raise ValueError(f"N = {N} outside 1..{_CAPELLI_MAX_N}")
+    N up to _MAX_N."""
+    if not 1 <= N <= _MAX_N:
+        raise ValueError(f"N = {N} outside 1..{_MAX_N}")
     p = Partition((1,) * N)
     alg = Algebra(p)
     rows = []
@@ -569,6 +568,8 @@ def rho_det_identities(N: int) -> dict:
         the corner quasideterminant is (-1)^(N+1) times them — the usual
         cofactor sign, which disappears for odd N — all exactly.
     """
+    if not 1 <= N <= _MAX_N:
+        raise ValueError(f"N = {N} outside 1..{_MAX_N}")
     p = Partition((N,))
     alg = Algebra(p)
     pos = box_position(p)
@@ -809,9 +810,9 @@ def family_generators(p: Partition, family: str) -> WGenerators:
 # the graded leading-term condition
 
 
-def _top_symbol_projection(alg: Algebra, elem: UEAElement, d2top: int):
-    """Project the weight-d2top graded part of (the symbol of) elem onto the
-    centralizer coordinates.
+def _top_symbol_projection(alg: Algebra, terms: dict, d2top: int):
+    """Project the weight-d2top graded part of (the symbol of) the element
+    with these terms onto the centralizer coordinates.
 
     In the splitting dual to span{e_{(j,1),(i,p_i-k)}}, a letter survives
     only when its column box is the first of its row; such a letter is
@@ -821,7 +822,7 @@ def _top_symbol_projection(alg: Algebra, elem: UEAElement, d2top: int):
     """
     p = alg.partition
     poly = {}
-    for mono, c in elem.terms.items():
+    for mono, c in terms.items():
         w2 = sum(alg.delta2[lid] for lid in mono)
         if w2 > d2top:
             return False, {"monomial": [str(alg.letters[lid]) for lid in mono],
@@ -860,7 +861,7 @@ def premet_check(g: WGenerators) -> dict:
     witnesses = []
     for (i, j, k) in g.sorted_keys():
         d2top = p.parts[i - 1] + p.parts[j - 1] - 2 * k
-        ok, poly = _top_symbol_projection(alg, g.table[(i, j, k)], d2top)
+        ok, poly = _top_symbol_projection(alg, g.table[(i, j, k)].terms, d2top)
         if not ok:
             witnesses.append({"generator": (i, j, k),
                               "reason": "filtration level exceeded", **poly})
@@ -886,9 +887,9 @@ class GeneratorBasis:
 
     A polynomial maps ordered tuples of family letters (indices into
     `labels`) to coefficients.  `poly_mul` is the straightening walk of
-    `uea` run with `bracket` in place of the gl_N structure constants, on
-    the memo `_nf_cache`; a bracket monomial of two or more letters enters
-    the walk as a word.
+    `uea` run with `bracket` in place of the gl_N structure constants, in
+    the space `_nf_cache`; a bracket monomial of two or more letters enters
+    the walk as a word, and keys its memo row by that tuple.
 
     Every step is an exact identity: conversion subtracts explicit products
     of the family's canonical representatives until the remainder vanishes,
@@ -907,14 +908,14 @@ class GeneratorBasis:
         self.w2 = [self._label_w2(lab) for lab in self.labels]
         self.reps = [g.table[lab] for lab in self.labels]
         for lab in self.labels:
-            ok, poly = _top_symbol_projection(self.alg, g.table[lab],
+            ok, poly = _top_symbol_projection(self.alg, g.table[lab].terms,
                                               self._label_w2(lab))
             if not ok or poly != {(lab,): 1}:
                 raise ArithmeticError(f"family element w[{lab[0]},{lab[1]};{lab[2]}] "
                                       f"does not reduce to its own symbol")
         self._eval_cache: dict = {(): reduce_mod_I(self.alg.one())}
         self._bracket_cache: dict = {}
-        self._nf_cache: dict = {}
+        self._nf_cache = _Space(self.bracket)
 
     def _label_w2(self, key) -> int:
         i, j, k = key
@@ -956,10 +957,10 @@ class GeneratorBasis:
         invariants — so the weight strictly drops and the loop is finite.
         """
         out: dict = {}
-        rem = x
+        rem = dict(x.terms)
         prev2 = None
-        while not rem.is_zero():
-            d2 = max(sum(self.alg.delta2[lid] for lid in mono) for mono in rem.terms)
+        while rem:
+            d2 = max(sum(self.alg.delta2[lid] for lid in mono) for mono in rem)
             if prev2 is not None and d2 >= prev2:
                 raise ArithmeticError("graded elimination stalled: "
                                       f"weight {HalfInt(d2)} did not drop")
@@ -976,7 +977,9 @@ class GeneratorBasis:
                 step[mono] = step.get(mono, 0) + c
                 out[mono] = out.get(mono, 0) + c
             for mono, c in step.items():
-                rem = rem - self._eval_mono(mono).scale(c)
+                for m, c2 in self._eval_mono(mono).terms.items():
+                    rem[m] = rem.get(m, 0) - c * c2
+            rem = {m: c for m, c in rem.items() if c}
         return {m: c for m, c in out.items() if c}
 
     # -- abstract straightening over the bracket table -----------------------
@@ -999,7 +1002,7 @@ class GeneratorBasis:
 
     def poly_mul(self, P: dict, Q: dict) -> dict:
         """Normal form of P·Q; the monomials of Q must be ordered."""
-        return _fold(P, Q, partial(_straighten, self._nf_cache, self.bracket))
+        return _fold(P, Q, self._nf_cache)
 
     def poly_commutator(self, P: dict, Q: dict) -> dict:
         a = self.poly_mul(P, Q)

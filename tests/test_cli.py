@@ -121,6 +121,14 @@ def test_missing_n_is_usage_error(capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("what", ["capelli", "identities"])
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_n_outside_the_bound_is_usage_error(capsys, what, n):
+    code, out, err = run(capsys, "check", what, "--n", n)
+    assert code == 2 and out == ""
+    assert f"N = {n} outside 1..4" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -285,7 +293,8 @@ GOLDEN = [
     ("check", "membership", "--partition", "2,1,1", "--floor", "-2"),
     *[("check", what, "--partition", p, "--floor", "-5")
       for what in ("membership", "main-lemma") for p in ("2,1", "3,1", "2,2")],
-    ("check", "yangian", "--partition", "2,2", "--floor", "-5"),
+    *[("check", "yangian", "--partition", p, "--floor", "-5")
+      for p in ("2,2", "2,1", "3,1")],
 ]
 
 

@@ -172,7 +172,8 @@ def test_action_memo_is_dropped_past_the_cap(monkeypatch):
     monkeypatch.setattr(uea, "_LM_CACHE_CAP", 40)
     drops = 0
     for (x, v), w in zip(pairs, want):
-        memo = alg._act_cache
+        before = len(alg._act_cache)
         assert act(x, v) == w
-        drops += alg._act_cache is not memo
+        # the space is cleared in place, so a drop shows as a shrink
+        drops += len(alg._act_cache) < before
     assert drops >= 1

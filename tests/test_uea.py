@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wgl import uea
 from wgl.pyramid import Box, HalfInt, Partition
-from wgl.uea import Algebra, element_from_json, parse_element
+from wgl.quotient import act, reduce_mod_I
+from wgl.uea import Algebra, _fold, _Space, element_from_json, parse_element
+from wgl.walgebra import GeneratorBasis, family_generators
 
 from conftest import gl_algebra, gl_gen, random_element
 
@@ -166,3 +169,59 @@ def test_kazhdan_filtration_inequalities(seed):
     br = x.commutator(y)
     if not br.is_zero():
         assert br.kazhdan_degree() <= dx + dy - 1
+
+
+# ---------------------------------------------------------------------------
+# the straightening kernel: interned spaces and their memos
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 1, 1)])
+def test_kernel_agrees_with_a_fresh_space(parts):
+    alg = Algebra(Partition(parts))
+    rng = random.Random(len(parts) * 10 + parts[0])
+    for _ in range(12):
+        x, y, z = (random_element(alg, rng) for _ in range(3))
+        v = reduce_mod_I(random_element(alg, rng))
+        # the shared spaces are warm from earlier products; fresh ones are not
+        assert (x * y).terms == _fold(x.terms, y.terms, _Space(alg._comm_ids))
+        fresh = _Space(alg._comm_ids, alg._act_cache.seed)
+        assert act(x, v).terms == _fold(x.terms, v.terms, fresh)
+        assert (x * y) * z == x * (y * z)
+    for space in (alg._lm_cache, alg._act_cache):
+        assert len(space.monos) == len(space.ids)
+        assert all(space.monos[i] == m for m, i in space.ids.items())
+        ids = {i for row in space.rows.values() for i in row}
+        ids |= {i for row in space.rows.values() for got in row.values()
+                for i, _ in got}
+        assert ids <= set(range(len(space.monos)))
+
+
+def test_results_survive_a_cap_drop(monkeypatch):
+    p = Partition((2, 1))
+    alg = Algebra(p)
+    basis = GeneratorBasis(family_generators(p, "minimal"))
+    n = len(basis.labels)
+    rng = random.Random(3)
+    cases = []
+    for _ in range(12):
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        v = reduce_mod_I(random_element(alg, rng))
+        P = {tuple(rng.choices(range(n), k=rng.randint(1, 3))): rng.choice([-1, 2])
+             for _ in range(2)}
+        Q = {tuple(sorted(rng.choices(range(n), k=2))): 1, (rng.randrange(n),): -3}
+        cases.append((x, y, v, P, Q))
+
+    def results(case):
+        x, y, v, P, Q = case
+        return (x * y).terms, act(x, v).terms, basis.poly_mul(P, Q)
+
+    want = [results(case) for case in cases]
+    monkeypatch.setattr(uea, "_LM_CACHE_CAP", 40)
+    spaces = (alg._lm_cache, alg._act_cache, basis._nf_cache)
+    drops = [0] * len(spaces)
+    for case, w in zip(cases, want):
+        before = [len(space) for space in spaces]
+        assert results(case) == w
+        # a space is cleared in place, so a drop shows as a shrink
+        drops = [d + (len(space) < b) for d, space, b in zip(drops, spaces, before)]
+    assert all(drops), drops

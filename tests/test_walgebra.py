@@ -235,7 +235,7 @@ def test_poly_mul_agrees_with_the_product_in_M(parts, family):
     # a bracket is linear or quadratic in the family, never constant, and
     # the quadratic ones enter the walk as word keys
     assert {len(h) for h in heads if type(h) is tuple} == {2}
-    assert any(type(x) is tuple for x, _ in basis._nf_cache)
+    assert any(type(x) is tuple for x in basis._nf_cache.rows)
 
 
 def test_poly_mul_straightens_a_long_word_without_recursion():
