@@ -6,18 +6,22 @@ arithmetic propagates floors conservatively, so a reported coefficient is
 always the true one.  Exponents are half-integers, kept internally as doubled
 ints.
 
-Matrix inversion runs the geometric series (1+T)^{-1} = sum (-T)^l after
-normalizing by an invertible scalar pivot: either the top-exponent coefficient
-matrix (when it is purely scalar) or the scalar part of the z^0 coefficient.
-Row/column scaling by scalar z-monomials is available for matrices (e.g.
-submatrices of the shifted matrix) whose pivot only becomes visible after
-conjugating by diag(z^{x(b)}).
+One solver, `solve`, computes A^{-1}·Y right to left as the geometric
+series sum (-T)^l applied to Y, after normalizing by an invertible scalar
+pivot: either the top-exponent coefficient matrix (when it is purely scalar)
+or the scalar part of the z^0 coefficient.  Row/column scaling by scalar
+z-monomials exposes the pivot of matrices (e.g. submatrices of the shifted
+matrix) whose pivot only becomes visible after conjugating by
+diag(z^{x(b)}).  `invert_matrix` is `solve` against the identity, and both
+quasideterminant routes call it.
 
 Series and matrix products, inversion, quasideterminants and the Yangian
 identity check take the ring product used on coefficients as `mul` (the
 U(g) product by default), so the same matrix calculus serves U(g), the
-W-algebra product on M and the opposite product.  Determinants and the mixed
-inverse identity always use the U(g) product.
+W-algebra product on M and the opposite product.  Since `solve` and the
+submatrix route only multiply onto partial results, `mul` may also be the
+action of U(g) on M.  Determinants and the mixed inverse identity always
+use the U(g) product.
 """
 
 from __future__ import annotations
@@ -474,16 +478,15 @@ def geometric_series(negT: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn],
                      floor2: Optional[int], max_iter: int) -> SeriesMatrix:
     """sum_l negT^l·Y, each term Y_{l+1} = negT·Y_l truncated at floor2.
 
-    negT is used as given.  Truncating it beforehand is safe only when no
-    term of the series has a positive exponent, as in `invert_matrix`, whose
-    series starts at the identity; otherwise a dropped term of negT can reach
-    a product above floor2.  floor2 None sums exactly, which terminates only
-    when negT acts nilpotently.  The sum stops at the first zero term and
-    raises ArithmeticError after max_iter terms.
+    negT is used as given: a dropped term of it could reach a product above
+    floor2 whenever some term of the series has a positive exponent.  floor2
+    None sums exactly, which terminates only when negT acts nilpotently.
+    The sum stops at the first zero term and raises ArithmeticError after
+    max_iter terms.
 
-    The three geometric series of the package run here: `invert_matrix`,
-    the corner series of `walgebra.main_lemma_sides` and the inner inverse of
-    `walgebra.build_L`, the last two with `mul` the action on M.
+    Every product multiplies negT onto a partial sum, so with `mul` the
+    action on M and Y reduced, every term stays reduced.  The callers are
+    `solve` and the corner series of `walgebra.main_lemma_sides`.
     """
     acc = term = Y.truncate2(floor2)
     for _ in range(max_iter):
@@ -494,54 +497,54 @@ def geometric_series(negT: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn],
     raise ArithmeticError(f"geometric series did not terminate in {max_iter} steps")
 
 
-def invert_matrix(A: SeriesMatrix, floor=None, mul: Optional[MulFn] = None,
-                  row_scale=None, col_scale=None) -> SeriesMatrix:
-    """Two-sided inverse of a square series matrix, to the requested floor.
+def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
+          f2: Optional[int] = None, row_scale=None, col_scale=None) -> SeriesMatrix:
+    """A^{-1}·Y to the doubled floor f2, computed right to left.
 
-    row_scale / col_scale (per-index (exp2, coeff) pairs) pre-multiply
-    B = Dr·A·Dc before pivoting and return Dc·B^{-1}·Dr, which equals A^{-1};
-    they let callers expose a scalar pivot hidden by mixed exponents.
+    row_scale / col_scale (per-index (exp2, coeff) pairs, Dr = z^rs and
+    Dc = z^cs) expose a scalar pivot hidden by mixed exponents: with the
+    pivot pre = C^{-1} z^{-d} of Dr·A·Dc from `_detect_pivot` and
+    T = pre·Dr·A·Dc - 1,
 
-    Every working floor is fixed before the first product.  Entry (i,j) of
-    A^{-1} is entry (i,j) of B^{-1} times z^{cs_i + rs_j}, so B^{-1} is
-    computed down to the requested floor minus the largest such shift.  With
-    a top-exponent pivot C z^d, B^{-1} = (1 + T)^{-1} C^{-1} z^{-d} where T
-    only has negative exponents, and the geometric series is truncated d
-    above the floor of B^{-1}.  With a constant-term pivot T has positive
-    exponents, and truncating it would lose top(T) of depth in every step;
-    the series then has to terminate by itself (T nilpotent) and is summed
-    untruncated.
+        A^{-1}·Y = Dc·sum_l (-T)^l·(pre·Dr·Y).
+
+    T is kept whole.  With a top-exponent pivot T only has negative
+    exponents, and each term is cut at f2 - max(cs), the depth that Dc
+    needs for floor f2.  A constant-term pivot makes T nilpotent (the exact
+    shapes), and the series is summed untruncated.  Every product but the
+    scalar pivot's multiplies onto a partial result, so `mul` may be the
+    action on M when Y is reduced.
     """
     if A.rows != A.cols:
         raise ValueError("matrix not square")
-    alg = A.alg
-    n = A.rows
-    f2 = _floor2(floor)
-
-    M = A
-    inner_f2 = f2
-    scaled = row_scale is not None or col_scale is not None
-    if scaled:
-        rs = row_scale or [(0, 1)] * n
-        cs = col_scale or [(0, 1)] * n
-        M = M.scale_rows(rs).scale_cols(cs)
-        if f2 is not None:
-            inner_f2 = f2 - max(e2 for e2, _ in cs) - max(e2 for e2, _ in rs)
-
+    alg, n = A.alg, A.rows
+    M, Y0 = A, Y
+    if row_scale is not None:
+        M, Y0 = M.scale_rows(row_scale), Y0.scale_rows(row_scale)
+    if col_scale is not None:
+        M = M.scale_cols(col_scale)
     d2, C, decaying = _detect_pivot(M)
-    fW2 = inner_f2 + d2 if decaying and inner_f2 is not None else None
+    g2 = None
+    if decaying and f2 is not None:
+        g2 = f2 - max((e2 for e2, _ in col_scale or ()), default=0)
 
-    # T = C^{-1} z^{-d2} M - 1
     pre = SeriesMatrix.from_scalar(alg, C.inverse(), -d2)
-    T = pre.matmul(M, floor2=fW2) - SeriesMatrix.identity(alg, n)
-    negT = -T.truncate2(fW2)
+    negT = SeriesMatrix.identity(alg, n) - pre.matmul(M, mul)
+    Y0 = pre.matmul(Y0, mul)
+    steps = 2 * n + 16
+    t2 = Y0.max_top2()
+    if g2 is not None and t2 is not None:
+        steps += max(0, t2 - g2)     # each term lowers the top by at least 1/2
+    S = geometric_series(negT, Y0, mul, g2, steps)
+    if col_scale is not None:
+        S = S.scale_rows(col_scale)
+    return S.truncate2(f2)
 
-    max_iter = 2 * n + 16 if fW2 is None else abs(fW2) + 2 * n + 16
-    acc = geometric_series(negT, SeriesMatrix.identity(alg, n), mul, fW2, max_iter)
-    Minv = acc.matmul(pre, mul, inner_f2)
-    if scaled:
-        Minv = Minv.scale_rows(cs).scale_cols(rs)
-    return Minv.truncate2(f2)
+
+def invert_matrix(A: SeriesMatrix, floor=None, mul: Optional[MulFn] = None) -> SeriesMatrix:
+    """Two-sided inverse of a square series matrix, to the requested floor:
+    `solve` against the identity."""
+    return solve(A, SeriesMatrix.identity(A.alg, A.rows), mul, _floor2(floor))
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +619,11 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
     """Generalized quasideterminant (J1·A^{-1}·I1)^{-1}.
 
     method 'definition' inverts A and then the sandwich; 'submatrix' uses
-    A_IJ - A_IJc (A_IcJc)^{-1} A_IcJ (unit selectors required, and the inner
-    inverse takes the optional scalings); 'both' computes the two and insists
-    they agree on the common region.
+    A_IJ - A_IJc·((A_IcJc)^{-1}·A_IcJ) (unit selectors required, and the
+    inner solve takes the optional scalings); 'both' computes the two and
+    insists they agree on the common region.  The submatrix route runs right
+    to left, every product onto a partial result, so `mul` may be the action
+    of U(g) on M when A_IJ and A_IcJ are reduced.
 
     Each route runs once, with its working floors derived from the
     requested floor f and the tops of the factors:
@@ -626,9 +631,8 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
     - definition: A^{-1} to f.  If the sandwich S tops out at z^t with
       t < 0, inverting S costs 2t of depth, so A^{-1} is recomputed to
       f + 2t (t is only known after the first inversion); S^{-1} to f.
-    - submatrix: the inner inverse to f - top(Q) - top(R), where
-      Q = A_IJc and R = A_IcJ; Q·inverse is kept to f - top(R), and its
-      product with R to f.
+    - submatrix: (A_IcJc)^{-1}·A_IcJ to f - top(Q), where Q = A_IJc, and
+      its product with Q to f.
 
     A route that comes back short of f raises ArithmeticError.
     """
@@ -638,17 +642,17 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
         raise ValueError("selector shape mismatch")
     f2 = _floor2(floor)
 
-    def half(n2):
-        return None if n2 is None else HalfInt(n2)
+    def inverse(M, g2):
+        return solve(M, SeriesMatrix.identity(M.alg, M.rows), mul, g2)
 
     def by_definition():
-        B = invert_matrix(A, half(f2), mul)
+        B = inverse(A, f2)
         S = sandwich(J1, B, I1)
         t2 = S.max_top2()
         if f2 is not None and t2 is not None and t2 < 0:
-            B = invert_matrix(A, HalfInt(f2 + 2 * t2), mul)
+            B = inverse(A, f2 + 2 * t2)
             S = sandwich(J1, B, I1)
-        return invert_matrix(S, half(f2), mul)
+        return inverse(S, f2)
 
     def by_submatrix():
         rowsI = _selector_indices(I1, by_cols=True)
@@ -661,13 +665,10 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
         if not compI:
             return P
         Q = A.submatrix(rowsI, compJ)
-        R = A.submatrix(compI, colsJ)
-        tq, tr = Q.max_top2() or 0, R.max_top2() or 0
-        inner = invert_matrix(A.submatrix(compI, compJ),
-                              half(None if f2 is None else f2 - tq - tr),
-                              mul, row_scale=inner_row_scale, col_scale=inner_col_scale)
-        QI = Q.matmul(inner, mul, None if f2 is None else f2 - tr)
-        return P - QI.matmul(R, mul, f2)
+        S = solve(A.submatrix(compI, compJ), A.submatrix(compI, colsJ), mul,
+                  None if f2 is None else f2 - (Q.max_top2() or 0),
+                  inner_row_scale, inner_col_scale)
+        return P - Q.matmul(S, mul, f2)
 
     if method == "definition":
         return _deliver(by_definition(), f2)

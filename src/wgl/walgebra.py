@@ -8,10 +8,11 @@ three closed generator families (principal, rectangular, minimal), their
 commutator tables, and the block-quasideterminant reconstruction of L(z)
 from a candidate generator table.
 
-L(z) is built in M = U(g)/I: its quasideterminant is computed right to
-left as the action of U(g) on M, so no U(g) product is formed.  Only
-`wgl L`, which prints the U(g) quasideterminant as well, builds that lift
-(`build_L(..., lift=True)`) and reduces it.
+L(z) is one submatrix quasideterminant, computed right to left, and the
+product passed to it decides where: the action of U(g) on M = U(g)/I, so
+that no U(g) product is formed, or, for `wgl L`, which prints the U(g)
+quasideterminant as well (`build_L(..., lift=True)`), the U(g) product,
+whose result is then reduced.
 
 Every routine returns a plain report dict:
 
@@ -54,8 +55,6 @@ from .series import (
     noncomm_det,
     quasideterminant,
     yangian_identity_check,
-    _deliver,
-    _detect_pivot,
     _floor2,
 )
 
@@ -219,57 +218,17 @@ class LOperator:
         return "\n".join(lines)
 
 
-def _quasideterminant_in_M(A: SeriesMatrix, rowsI, colsJ, rs, cs,
-                           f2: Optional[int]) -> SeriesMatrix:
-    """(A_IJ - A_IJc·(A_IcJc)^{-1}·A_IcJ)·1 in M, right to left.
-
-    With P = A_IJ, Q = A_IJc, R = A_IcJ, B = A_IcJc, the scalings Dr = z^rs,
-    Dc = z^cs and the scalar pivot pre = C^{-1} z^{-d} of Dr·B·Dc, the inner
-    inverse is Dc·sum_l (-T)^l·pre·Dr with T = pre·Dr·B·Dc - 1, so
-
-        L·1 = P·1 - Q·(Dc·sum_l (-T)^l·Y0),   Y0 = pre·Dr·(R·1),
-
-    and every product is the action of U(g) on M.  With a top-exponent pivot
-    T only has negative exponents.  It is kept whole, and each Y_l is cut at
-    g = f - top(Q) - max(cs), the depth that the product with Q needs for
-    floor f.  A constant-term pivot (the exact shapes) makes T nilpotent, and
-    the series is summed untruncated.
-    """
-    alg = A.alg
-    compI = [n for n in range(A.rows) if n not in rowsI]
-    compJ = [n for n in range(A.cols) if n not in colsJ]
-    P = A.submatrix(rowsI, colsJ).map_entries(_reduce_series)
-    if not compI:
-        return _deliver(P, f2)
-    Q = A.submatrix(rowsI, compJ)
-    R = A.submatrix(compI, colsJ).map_entries(_reduce_series)
-    B = A.submatrix(compI, compJ).scale_rows(rs).scale_cols(cs)
-    d2, C, decaying = _detect_pivot(B)
-    g2 = None
-    if decaying and f2 is not None:
-        g2 = f2 - (Q.max_top2() or 0) - max(e2 for e2, _ in cs)
-
-    n = len(compI)
-    pre = SeriesMatrix.from_scalar(alg, C.inverse(), -d2)
-    negT = SeriesMatrix.identity(alg, n) - pre.matmul(B, act)
-    Y0 = pre.matmul(R.scale_rows(rs), act)
-    steps = 2 * n + 16
-    t2 = Y0.max_top2()
-    if g2 is not None and t2 is not None:
-        steps += max(0, t2 - g2)     # each term lowers the top by at least 1/2
-    S = geometric_series(negT, Y0, act, g2, steps)
-    return _deliver(P - Q.matmul(S.scale_rows(cs), act, f2), f2)
-
-
 def build_L(p: Partition, floor=None, lift: bool = False) -> LOperator:
     """L(z): the generalized quasideterminant of the shifted matrix at the
     corner selectors (rows of the first boxes, columns of the last boxes of
     the longest rows), reduced to M.
 
-    It is computed in M, right to left, with no U(g) product
-    (`_quasideterminant_in_M`).  lift=True instead forms the quasideterminant
-    in U(g) and reduces it afterwards; only `wgl L` asks for that, since it
-    prints the lift.  Both routes give the same L(z), coefficient by
+    One submatrix `quasideterminant` call computes it, right to left; the
+    product decides where.  By default it is the action of U(g) on M, so no
+    U(g) product is formed (the shifted matrix has no letter of degree >= 1,
+    so its entries are already canonical representatives).  lift=True passes
+    the U(g) product instead and reduces the result; only `wgl L` asks for
+    that, since it prints the lift.  Both give the same L(z), coefficient by
     coefficient and floor by floor.
 
     When all parts are equal the complement submatrix is unit-triangular up
@@ -279,26 +238,19 @@ def build_L(p: Partition, floor=None, lift: bool = False) -> LOperator:
     p1, r1 = p.parts[0], p.r1
     f2 = None if p.r == r1 and floor is None else _floor2_for(p, floor)
     A = build_shifted_matrix(p)
-    alg = A.alg
     pos = box_position(p)
-    rowsI = [pos[Box(i, 1)] for i in range(1, r1 + 1)]
-    colsJ = [pos[Box(i, p1)] for i in range(1, r1 + 1)]
-    if f2 is None:
-        rs = cs = [(0, 1)] * (p.N - r1)
-    else:
-        rs, cs = _inner_scales(p, [b for b in alg.boxes if pos[b] not in rowsI],
-                               [b for b in alg.boxes if pos[b] not in colsJ])
-    if lift:
-        sm = structure_matrices(p)
-        lifted = quasideterminant(A, sm["I1"], sm["J1"],
-                                  floor=None if f2 is None else HalfInt(f2),
-                                  method="submatrix",
-                                  inner_row_scale=rs, inner_col_scale=cs)
-        reduced = lifted.map_entries(_reduce_series)
-    else:
-        lifted = None
-        reduced = _quasideterminant_in_M(A, rowsI, colsJ, rs, cs, f2) \
-            .map_entries(_reduce_series)
+    rs = cs = None
+    if f2 is not None:
+        rowsI = [pos[Box(i, 1)] for i in range(1, r1 + 1)]
+        colsJ = [pos[Box(i, p1)] for i in range(1, r1 + 1)]
+        rs, cs = _inner_scales(p, [b for b in A.alg.boxes if pos[b] not in rowsI],
+                               [b for b in A.alg.boxes if pos[b] not in colsJ])
+    sm = structure_matrices(p)
+    q = quasideterminant(A, sm["I1"], sm["J1"], floor=None if f2 is None else HalfInt(f2),
+                         mul=None if lift else act, method="submatrix",
+                         inner_row_scale=rs, inner_col_scale=cs)
+    lifted = q if lift else None
+    reduced = q.map_entries(_reduce_series)
 
     # sanity: the reduced operator must start at -(-z)^{p1} * identity
     top = -((-1) ** p1)
@@ -338,10 +290,6 @@ def _weighted_E(alg: Algebra) -> SeriesMatrix:
     return SeriesMatrix(alg, rows)
 
 
-def _rmul(x: UEAElement, y: UEAElement) -> MElement:
-    return act(x, reduce_mod_I(y))
-
-
 def main_lemma_sides(p: Partition, floor=None):
     """Both sides of the expansion identity as r1 x r1 series over the
     quotient module: the corner quasideterminant of 1 + z^{-D}E applied to
@@ -366,18 +314,15 @@ def main_lemma_sides(p: Partition, floor=None):
     negT = -_weighted_E(alg)
     lmax = (-f2w) // 2 + 2 * p1 + 4
 
+    # J1·(sum_l (-T)^l)·(I1·1), every term reduced: the seed is the reduced
+    # identity and each product is the action on M
     zero_row = [SeriesElem.zero(alg, HalfInt(f2w)) for _ in range(r1)]
-
-    def sred(Y: SeriesMatrix) -> SeriesMatrix:
-        # J1 (sum_l (-T)^l) (I1 Y), reduced throughout
-        data = [list(zero_row) for _ in range(alg.N)]
-        for n, i in enumerate(rowsI):
-            data[i] = list(Y.data[n])
-        acc = geometric_series(negT, SeriesMatrix(alg, data), _rmul, f2w, lmax)
-        return SeriesMatrix(alg, [acc.data[j] for j in rowsJ]).truncate2(f2w)
-
     one = SeriesMatrix.from_scalar(alg, ScalarMatrix.identity(r1)).map_entries(_reduce_series)
-    Y0 = sred(one)
+    data = [list(zero_row) for _ in range(alg.N)]
+    for n, i in enumerate(rowsI):
+        data[i] = list(one.data[n])
+    acc = geometric_series(negT, SeriesMatrix(alg, data), act, f2w, lmax)
+    Y0 = SeriesMatrix(alg, [acc.data[j] for j in rowsJ])
 
     t2 = Y0.max_top2()
     if t2 is not None and t2 > 0:
@@ -399,7 +344,7 @@ def main_lemma_sides(p: Partition, floor=None):
     # run entirely in the quotient subalgebra where multiplication of reduced
     # representatives is well defined.  Exponents only add there, so the
     # requested floor needs no extra margin.
-    lhs = invert_matrix(Y0.truncate2(f2), HalfInt(f2), mul=w_product).truncate2(f2)
+    lhs = invert_matrix(Y0.truncate2(f2), HalfInt(f2), mul=w_product)
 
     L = build_L(p, floor=None if p.r == r1 else HalfInt(f2 + 2 * p1))
     rhs = L.reduced.map_entries(lambda e: e.shift2(-2 * p1)).truncate2(f2)
@@ -810,9 +755,15 @@ def family_generators(p: Partition, family: str) -> WGenerators:
 # the graded leading-term condition
 
 
-def _top_symbol_projection(alg: Algebra, terms: dict, d2top: int):
+def _weighted_terms(alg: Algebra, terms: dict) -> list:
+    """(Kazhdan weight, monomial, coefficient) for each term, weights doubled."""
+    delta2 = alg.delta2
+    return [(sum(delta2[lid] for lid in mono), mono, c) for mono, c in terms.items()]
+
+
+def _top_symbol_projection(alg: Algebra, weighted: list, d2top: int):
     """Project the weight-d2top graded part of (the symbol of) the element
-    with these terms onto the centralizer coordinates.
+    with these `_weighted_terms` onto the centralizer coordinates.
 
     In the splitting dual to span{e_{(j,1),(i,p_i-k)}}, a letter survives
     only when its column box is the first of its row; such a letter is
@@ -822,8 +773,7 @@ def _top_symbol_projection(alg: Algebra, terms: dict, d2top: int):
     """
     p = alg.partition
     poly = {}
-    for mono, c in terms.items():
-        w2 = sum(alg.delta2[lid] for lid in mono)
+    for w2, mono, c in weighted:
         if w2 > d2top:
             return False, {"monomial": [str(alg.letters[lid]) for lid in mono],
                            "weight": str(HalfInt(w2))}
@@ -861,7 +811,8 @@ def premet_check(g: WGenerators) -> dict:
     witnesses = []
     for (i, j, k) in g.sorted_keys():
         d2top = p.parts[i - 1] + p.parts[j - 1] - 2 * k
-        ok, poly = _top_symbol_projection(alg, g.table[(i, j, k)].terms, d2top)
+        ok, poly = _top_symbol_projection(alg, _weighted_terms(alg, g.table[(i, j, k)].terms),
+                                          d2top)
         if not ok:
             witnesses.append({"generator": (i, j, k),
                               "reason": "filtration level exceeded", **poly})
@@ -908,8 +859,8 @@ class GeneratorBasis:
         self.w2 = [self._label_w2(lab) for lab in self.labels]
         self.reps = [g.table[lab] for lab in self.labels]
         for lab in self.labels:
-            ok, poly = _top_symbol_projection(self.alg, g.table[lab].terms,
-                                              self._label_w2(lab))
+            ok, poly = _top_symbol_projection(
+                self.alg, _weighted_terms(self.alg, g.table[lab].terms), self._label_w2(lab))
             if not ok or poly != {(lab,): 1}:
                 raise ArithmeticError(f"family element w[{lab[0]},{lab[1]};{lab[2]}] "
                                       f"does not reduce to its own symbol")
@@ -960,12 +911,13 @@ class GeneratorBasis:
         rem = dict(x.terms)
         prev2 = None
         while rem:
-            d2 = max(sum(self.alg.delta2[lid] for lid in mono) for mono in rem)
+            weighted = _weighted_terms(self.alg, rem)
+            d2 = max(w2 for w2, _, _ in weighted)
             if prev2 is not None and d2 >= prev2:
                 raise ArithmeticError("graded elimination stalled: "
                                       f"weight {HalfInt(d2)} did not drop")
             prev2 = d2
-            ok, poly = _top_symbol_projection(self.alg, rem, d2)
+            ok, poly = _top_symbol_projection(self.alg, weighted, d2)
             if not ok:
                 raise ArithmeticError(f"filtration violation during conversion: {poly}")
             if not poly:

@@ -277,7 +277,7 @@ def test_candidates_partition_mismatch(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden output: the fast commands of the benchmark's reference table
+# golden output: every command of the benchmark's reference table
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -295,13 +295,30 @@ GOLDEN = [
       for what in ("membership", "main-lemma") for p in ("2,1", "3,1", "2,2")],
     *[("check", "yangian", "--partition", p, "--floor", "-5")
       for p in ("2,2", "2,1", "3,1")],
+    ("L", "--partition", "2,1,1", "--floor", "-5"),
+    *[("check", what, "--partition", "2,1,1", "--floor", "-5")
+      for what in ("membership", "yangian")],
+    ("check", "premet", "--partition", "2,2"),
+    *[("conjecture", "--partition", "2,1", "--floor", f, "--candidates", "{candidates}")
+      for f in ("-2", "-5")],
 ]
 
 
+def test_golden_covers_the_reference_table():
+    table = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    assert sorted(" ".join([*argv, "--format", "json"]) for argv in GOLDEN) == sorted(table)
+
+
 @pytest.mark.parametrize("argv", GOLDEN, ids=" ".join)
-def test_stdout_matches_the_reference_hash(capsys, argv):
+def test_stdout_matches_the_reference_hash(capsys, tmp_path, argv):
     argv = [*argv, "--format", "json"]
     want = json.loads(REFERENCE.read_text(encoding="utf-8"))[" ".join(argv)]
+    if "{candidates}" in argv:
+        # the benchmark writes this file from the (2,1) generator table
+        _, table, _ = run(capsys, "generators", "--partition", "2,1", "--format", "json")
+        path = tmp_path / "candidates.json"
+        path.write_text(table)
+        argv = [str(path) if a == "{candidates}" else a for a in argv]
     code, out, _ = run(capsys, *argv)
     data = out.encode("utf-8")
     assert (code, len(data)) == (want["rc"], want["bytes"])

@@ -11,6 +11,7 @@ from wgl.series import (
     opposite_mul,
     quasideterminant,
     sandwich,
+    solve,
     yangian_identity_check,
 )
 from wgl.uea import Algebra
@@ -104,6 +105,17 @@ def test_matrix_inverse_exact_for_unitriangular(gl2):
     inv = invert_matrix(M)
     assert inv.data[0][1].coeff(0) == -x
     assert M.matmul(inv).agrees_with(SeriesMatrix.identity(gl2, 2))
+
+
+def test_solve_keeps_T_whole(gl2):
+    # A = 1 + e11 z^{-2}: T = e11 z^{-2} lies below the cut at z^{-1}, but
+    # the right-hand side z^2 lifts T·Y up to z^0
+    e = gl_gen(gl2, 1, 1)
+    A = SeriesMatrix(gl2, [[SeriesElem(gl2, {0: gl2.one(), -4: e})]])
+    Y = SeriesMatrix(gl2, [[SeriesElem.z_pow(gl2, 2)]])
+    X = solve(A, Y, f2=-2)
+    assert X.data[0][0].terms == {4: gl2.one(), 0: -e}
+    assert A.matmul(X).first_diff(Y) is None
 
 
 def test_noncomm_det_on_scalars_matches_ordinary_det(gl2):

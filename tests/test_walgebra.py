@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from wgl.pyramid import Box, HalfInt, Partition, structure_matrices
-from wgl.quotient import ad_invariant_witness, reduce_mod_I, w_commutator, w_product
-from wgl.series import SeriesElem, SeriesMatrix, quasideterminant
+from wgl.pyramid import Box, HalfInt, Partition, box_position, structure_matrices
+from wgl.quotient import act, ad_invariant_witness, reduce_mod_I, w_commutator, w_product
+from wgl.series import SeriesElem, SeriesMatrix, invert_matrix, quasideterminant, solve
 from wgl.uea import Algebra
 from wgl.walgebra import (
     GeneratorBasis,
     LOperator,
     _generating_family,
+    _inner_scales,
+    _reduce_series,
     build_L,
     build_shifted_matrix,
     capelli_suite,
@@ -249,25 +251,25 @@ def test_poly_mul_straightens_a_long_word_without_recursion():
 
 
 @pytest.fixture
-def invert_floors(monkeypatch):
-    """Doubled floor of every invert_matrix call made during the test."""
+def solve_floors(monkeypatch):
+    """Doubled floor of every series.solve call made during the test."""
     import wgl.series
 
     floors = []
-    orig = wgl.series.invert_matrix
+    orig = wgl.series.solve
 
-    def spy(A, floor=None, *args, **kwargs):
-        floors.append(wgl.series._floor2(floor))
-        return orig(A, floor, *args, **kwargs)
+    def spy(A, Y, mul=None, f2=None, *args, **kwargs):
+        floors.append(f2)
+        return orig(A, Y, mul, f2, *args, **kwargs)
 
-    monkeypatch.setattr(wgl.series, "invert_matrix", spy)
+    monkeypatch.setattr(wgl.series, "solve", spy)
     return floors
 
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 2)])
-def test_truncated_build_L_inverts_once(invert_floors, parts):
+def test_truncated_build_L_inverts_once(solve_floors, parts):
     L = build_L(Partition(parts), -5, lift=True)
-    assert len(invert_floors) == 1
+    assert len(solve_floors) == 1
     assert {e.floor2 for row in L.lift.data for e in row} == {-10}
 
 
@@ -275,13 +277,13 @@ def test_truncated_build_L_inverts_once(invert_floors, parts):
     ((2, 1), -5), ((3, 1), -5), ((2, 2), -5), ((2, 1, 1), -5),
     ((2,), None), ((3,), None), ((2, 2), None),
 ])
-def test_L_built_in_M_equals_the_reduced_lift(invert_floors, parts, floor):
+def test_L_built_in_M_equals_the_reduced_lift(solve_floors, parts, floor):
     p = Partition(parts)
     lm_cache = Algebra(p)._lm_cache     # process-global: compare sizes
     before = len(lm_cache)
     L = build_L(p, floor)
-    # no inversion and no U(g) product
-    assert invert_floors == [] and len(lm_cache) == before
+    # one solve and no U(g) product
+    assert len(solve_floors) == 1 and len(lm_cache) == before
     assert L.lift is None
     oracle = build_L(p, floor, lift=True).reduced
     assert L.reduced.first_diff(oracle) is None
@@ -289,16 +291,62 @@ def test_L_built_in_M_equals_the_reduced_lift(invert_floors, parts, floor):
         == [[e.floor2 for e in row] for row in oracle.data]
 
 
-def test_both_quasideterminant_routes_deliver_on_the_first_pass(invert_floors):
+def test_both_quasideterminant_routes_deliver_on_the_first_pass(solve_floors):
     # the principal (3) shifted matrix has a constant-term inner pivot
     p = Partition((3,))
     sm = structure_matrices(p)
     q = quasideterminant(build_shifted_matrix(p), sm["I1"], sm["J1"],
                          floor=HalfInt(-12), method="both")
     # definition: A^{-1}, A^{-1} deeper by the sandwich top, S^{-1};
-    # submatrix: the inner inverse
-    assert len(invert_floors) == 4
+    # submatrix: the inner solve
+    assert len(solve_floors) == 4
     assert q.data[0][0].floor2 == -12
+
+
+def _complement(parts, floor):
+    """The complement block B of the shifted matrix, its rectangular
+    right-hand side R = A_IcJ, and the scalings build_L uses on B."""
+    p = Partition(parts)
+    A = build_shifted_matrix(p)
+    pos = box_position(p)
+    rowsI = [pos[Box(i, 1)] for i in range(1, p.r1 + 1)]
+    colsJ = [pos[Box(i, p.parts[0])] for i in range(1, p.r1 + 1)]
+    compI = [n for n in range(p.N) if n not in rowsI]
+    compJ = [n for n in range(p.N) if n not in colsJ]
+    rs = cs = None
+    if floor is not None:
+        rs, cs = _inner_scales(p, [b for b in A.alg.boxes if pos[b] in compI],
+                               [b for b in A.alg.boxes if pos[b] in compJ])
+    return A.submatrix(compI, compJ), A.submatrix(compI, colsJ), rs, cs
+
+
+@pytest.mark.parametrize("parts, floor, in_M", [
+    ((2, 1, 1), -5, False), ((3,), None, False), ((2, 1, 1), -5, True),
+])
+def test_solve_is_a_right_inverse(parts, floor, in_M):
+    B, R, rs, cs = _complement(parts, floor)
+    mul = act if in_M else None
+    if in_M:
+        R = R.map_entries(_reduce_series)
+    f2 = None if floor is None else 2 * floor
+    X = solve(B, R, mul, f2, rs, cs)
+    BX = B.matmul(X, mul)
+    assert BX.first_diff(R) is None
+    # the agreement is not vacuous: the product carries a floor at most
+    # top(B) above the requested one
+    floors = {e.floor2 for row in BX.data for e in row}
+    if f2 is None:
+        assert floors == {None}
+    else:
+        assert max(floors) <= f2 + B.max_top2()
+    one = SeriesMatrix.identity(B.alg, B.rows)
+    assert B.matmul(solve(B, one, mul, f2, rs, cs), mul).first_diff(one) is None
+    # against the identity, solve is invert_matrix (on the scaled block,
+    # whose pivot needs no scaling)
+    D = B if rs is None else B.scale_rows(rs).scale_cols(cs)
+    inv = invert_matrix(D, floor, mul)
+    assert solve(D, one, mul, f2).data == inv.data
+    assert D.matmul(inv, mul).first_diff(one) is None
 
 
 # ---------------------------------------------------------------------------
