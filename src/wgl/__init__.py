@@ -5,7 +5,7 @@ are Python ints/Fractions, and series are truncated Laurent series with an
 explicit floor below which nothing is claimed.
 """
 
-from .pyramid import Box, HalfInt, Partition, ScalarMatrix, shift_matrix
+from .pyramid import Box, Partition, ScalarMatrix, shift_matrix
 from .uea import Algebra, UEAElement
 from .quotient import MElement, reduce_mod_I, w_commutator, w_product
 from .series import SeriesElem, SeriesMatrix, quasideterminant
@@ -28,7 +28,6 @@ from .walgebra import (
 __all__ = [
     "Algebra",
     "Box",
-    "HalfInt",
     "LOperator",
     "MElement",
     "Partition",

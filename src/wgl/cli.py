@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .pyramid import HalfInt, Partition
+from .pyramid import Partition, half_str, parse_half2
 from .uea import Algebra, element_from_json
 from .walgebra import (
     LOperator,
@@ -39,6 +39,14 @@ from .walgebra import (
 )
 
 _FAMILIES = ("principal", "rectangular", "minimal")
+# The options each check reads besides --format and --seed; it refuses the
+# others rather than run as if they had not been given.
+_CHECK_READS = {
+    "capelli": ("n",),
+    "identities": ("n",),
+    "premet": ("partition", "family"),
+    **dict.fromkeys(("main-lemma", "membership", "yangian"), ("partition", "floor")),
+}
 
 
 def _parse_partition(text: str) -> Partition:
@@ -46,9 +54,24 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _parse_floor(text):
-    if text is None:
-        return None
-    return HalfInt.parse(text)
+    """The doubled floor of a --floor value, None when it was not given."""
+    return None if text is None else parse_half2(text)
+
+
+def _attach_floor(argv):
+    """argv with "--floor -15/2" joined into "--floor=-15/2".
+
+    argparse takes a word that starts with "-" for an option unless it reads
+    as a plain negative decimal, so a negative n/2 needs the "=" form.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--floor" and len(arg) > 1 and arg[0] == "-" \
+                and arg[1] in "0123456789./":
+            out[-1] = f"--floor={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -176,11 +199,11 @@ def _finish(rep: dict, fmt: str) -> int:
     return 0 if rep["pass"] else 1
 
 
-def _failed_report(check: str, args, exc: ArithmeticError) -> dict:
+def _failed_report(check: str, args, f2, exc: ArithmeticError) -> dict:
     rep = {
         "check": check,
-        "partition": getattr(args, "partition", None),
-        "floor": getattr(args, "floor", None),
+        "partition": args.partition,
+        "floor": None if f2 is None else half_str(f2),
         "pass": False,
         "witnesses": [{"error": str(exc)}],
     }
@@ -239,6 +262,9 @@ def _cmd_L(args) -> int:
 
 def _cmd_check(args) -> int:
     which = args.what
+    for opt in ("partition", "floor", "n", "family"):
+        if getattr(args, opt) is not None and opt not in _CHECK_READS[which]:
+            raise ValueError(f"check {which} does not read --{opt}")
     if which in ("capelli", "identities"):
         if args.n is None:
             raise ValueError(f"check {which} requires --n")
@@ -251,21 +277,21 @@ def _cmd_check(args) -> int:
     if args.partition is None:
         raise ValueError(f"check {which} requires --partition")
     p = _parse_partition(args.partition)
-    floor = _parse_floor(args.floor)
+    f2 = _parse_floor(args.floor)
 
     try:
         if which == "main-lemma":
-            rep = main_lemma_check(p, floor)
+            rep = main_lemma_check(p, f2)
         elif which == "membership":
-            rep = w_membership_check(build_L(p, floor))
+            rep = w_membership_check(build_L(p, f2))
         elif which == "yangian":
-            rep = yangian_check_L(build_L(p, floor))
+            rep = yangian_check_L(build_L(p, f2))
         elif which == "premet":
             rep = premet_check(_generators_for(args))
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown check {which!r}")
     except ArithmeticError as exc:
-        return _finish(_failed_report(which, args, exc), args.format)
+        return _finish(_failed_report(which, args, f2, exc), args.format)
     if args.seed is not None:
         rep["seed"] = args.seed
     return _finish(rep, args.format)
@@ -281,7 +307,7 @@ def _cmd_relations(args) -> int:
     try:
         rep = relation_table_check(_generators_for(args))
     except ArithmeticError as exc:
-        return _finish(_failed_report("relations", args, exc), args.format)
+        return _finish(_failed_report("relations", args, None, exc), args.format)
     return _finish(rep, args.format)
 
 
@@ -294,10 +320,11 @@ def _cmd_conjecture(args) -> int:
                 f"candidates file is for {g.partition}, not {p}")
     else:
         g = _generators_for(args)
+    f2 = _parse_floor(args.floor)
     try:
-        rep = conjecture_check(p, g, _parse_floor(args.floor))
+        rep = conjecture_check(p, g, f2)
     except ArithmeticError as exc:
-        return _finish(_failed_report("conjecture", args, exc), args.format)
+        return _finish(_failed_report("conjecture", args, f2, exc), args.format)
     return _finish(rep, args.format)
 
 
@@ -362,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_floor(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -5,6 +5,10 @@ Its boxes (i,h), 1 <= i <= r, 1 <= h <= p_i, are ordered lexicographically and
 that order fixes the row/column layout of every N x N matrix in this package.
 Box (i,h) sits at x-coordinate (p_i + 1 - 2h)/2, so each row of the pyramid is
 centered; the grading degree of a generator e_{a,b} is x(a) - x(b).
+
+Every half-integer in the package (coordinates, degrees, z-exponents and
+floors) is held as its doubled int; `parse_half2` reads one from text and
+`half_str` writes one back.
 """
 
 from __future__ import annotations
@@ -14,108 +18,21 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
-class HalfInt:
-    """An exact half-integer, stored as its doubled value.
+def parse_half2(text: str) -> int:
+    """Half-integer text such as "-8" or "-15/2" as its doubled int;
+    ValueError for any other text."""
+    try:
+        value = Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{text!r} has a zero denominator") from exc
+    if value.denominator not in (1, 2):
+        raise ValueError(f"{value} is not a half-integer")
+    return int(2 * value)
 
-    Supports mixed arithmetic/comparison with ints.  Multiplication is only
-    defined against ints (a product of two genuine half-integers would leave
-    the half-integer lattice).
-    """
 
-    __slots__ = ("doubled",)
-
-    def __init__(self, doubled: int):
-        if not isinstance(doubled, int):
-            raise TypeError(f"doubled value must be int, got {type(doubled).__name__}")
-        object.__setattr__(self, "doubled", doubled)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfInt is immutable")
-
-    @classmethod
-    def of(cls, value: Union[int, "HalfInt", Fraction]) -> "HalfInt":
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return cls(2 * value)
-        if isinstance(value, Fraction):
-            d = value * 2
-            if d.denominator != 1:
-                raise ValueError(f"{value} is not a half-integer")
-            return cls(int(d))
-        raise TypeError(f"cannot make HalfInt from {type(value).__name__}")
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfInt":
-        try:
-            return cls.of(Fraction(text.strip()))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"{text!r} has a zero denominator") from exc
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def _other(self, other) -> int:
-        if isinstance(other, HalfInt):
-            return other.doubled
-        if isinstance(other, int):
-            return 2 * other
-        return NotImplemented
-
-    def __add__(self, other):
-        d = self._other(other)
-        return NotImplemented if d is NotImplemented else HalfInt(self.doubled + d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        d = self._other(other)
-        return NotImplemented if d is NotImplemented else HalfInt(self.doubled - d)
-
-    def __rsub__(self, other):
-        d = self._other(other)
-        return NotImplemented if d is NotImplemented else HalfInt(d - self.doubled)
-
-    def __neg__(self):
-        return HalfInt(-self.doubled)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(self.doubled * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        d = self._other(other)
-        return NotImplemented if d is NotImplemented else self.doubled == d
-
-    def __lt__(self, other):
-        d = self._other(other)
-        return NotImplemented if d is NotImplemented else self.doubled < d
-
-    def __le__(self, other):
-        d = self._other(other)
-        return NotImplemented if d is NotImplemented else self.doubled <= d
-
-    def __gt__(self, other):
-        d = self._other(other)
-        return NotImplemented if d is NotImplemented else self.doubled > d
-
-    def __ge__(self, other):
-        d = self._other(other)
-        return NotImplemented if d is NotImplemented else self.doubled >= d
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __str__(self):
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-    def __repr__(self):
-        return f"HalfInt({self.doubled})"
+def half_str(n2: int) -> str:
+    """The half-integer n2/2 as text: "-4" for -8, "-9/2" for -9."""
+    return str(n2 // 2) if n2 % 2 == 0 else f"{n2}/2"
 
 
 class Box(NamedTuple):
@@ -191,19 +108,20 @@ def _check_box(p: Partition, b) -> Box:
     return Box(i, h)
 
 
-def x_coord(p: Partition, b) -> HalfInt:
+def x_coord(p: Partition, b) -> int:
+    """Doubled x-coordinate of box b: p_i + 1 - 2h."""
     i, h = _check_box(p, b)
-    return HalfInt(p.parts[i - 1] + 1 - 2 * h)
+    return p.parts[i - 1] + 1 - 2 * h
 
 
-def grading_degree(p: Partition, a, b) -> HalfInt:
-    """ad x eigenvalue of e_{a,b}: x(a) - x(b)."""
+def grading_degree(p: Partition, a, b) -> int:
+    """Doubled ad x eigenvalue of e_{a,b}: x(a) - x(b)."""
     return x_coord(p, a) - x_coord(p, b)
 
 
 def grading_class(p: Partition, a, b) -> int:
     """0 for degree <= 0, 1 for degree 1/2, 2 for degree >= 1."""
-    d = grading_degree(p, a, b).doubled
+    d = grading_degree(p, a, b)
     if d <= 0:
         return 0
     if d == 1:
@@ -215,7 +133,7 @@ def shift_matrix(p: Partition) -> "ScalarMatrix":
     """Diagonal matrix D: d_b = -(number of boxes entirely to the right of b),
     i.e. boxes c with x(c) - x(b) >= 1."""
     bs = boxes(p)
-    xs = [x_coord(p, b).doubled for b in bs]
+    xs = [x_coord(p, b) for b in bs]
     diag = []
     for xb in xs:
         diag.append(-sum(1 for xc in xs if xc - xb >= 2))

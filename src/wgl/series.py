@@ -3,8 +3,8 @@
 A SeriesElem stores finitely many coefficients above an explicit floor; a
 floor of None means the element is exact (a Laurent polynomial).  All
 arithmetic propagates floors conservatively, so a reported coefficient is
-always the true one.  Exponents are half-integers, kept internally as doubled
-ints.
+always the true one.  Exponents and floors are half-integers, passed and
+kept as doubled ints.
 
 One solver, `solve`, computes A^{-1}·Y right to left as the geometric
 series sum (-T)^l applied to Y, after normalizing by an invertible scalar
@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Callable, Optional, Sequence, Tuple
 
-from .pyramid import HalfInt, ScalarMatrix
+from .pyramid import ScalarMatrix, half_str
 from .uea import Algebra, UEAElement
 
 MulFn = Callable[[UEAElement, UEAElement], UEAElement]
@@ -43,15 +43,10 @@ def opposite_mul(x: UEAElement, y: UEAElement) -> UEAElement:
     return y * x
 
 
-def _floor2(floor) -> Optional[int]:
-    """Normalize a floor given as HalfInt / int / Fraction / None to doubled int."""
-    if floor is None:
-        return None
-    if isinstance(floor, HalfInt):
-        return floor.doubled
-    if isinstance(floor, int):
-        return 2 * floor
-    return HalfInt.of(floor).doubled
+def _floor2(f2: Optional[int]) -> Optional[int]:
+    # Floors are doubled ints; this identity stays because the benchmark
+    # tracer (perfbench/tracer.py) reads invert_matrix's floor through it.
+    return f2
 
 
 def _add_floor2(f: Optional[int], g: Optional[int]) -> Optional[int]:
@@ -107,41 +102,21 @@ class SeriesElem:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def make(cls, alg: Algebra, entries: dict, floor=None) -> "SeriesElem":
-        """entries: {exponent: UEAElement or scalar}, exponents as HalfInt/int."""
-        terms = {}
-        for exp, c in entries.items():
-            n2 = _floor2(exp)
-            if not isinstance(c, UEAElement):
-                c = alg.scalar(c)
-            if n2 in terms:
-                c = terms[n2] + c
-            terms[n2] = c
-        return cls(alg, terms, _floor2(floor))
-
-    @classmethod
-    def zero(cls, alg: Algebra, floor=None) -> "SeriesElem":
-        return cls(alg, {}, _floor2(floor))
+    def zero(cls, alg: Algebra, f2: Optional[int] = None) -> "SeriesElem":
+        return cls(alg, {}, f2)
 
     @classmethod
     def from_element(cls, alg: Algebra, elem: UEAElement, exp2: int = 0,
                      floor2: Optional[int] = None) -> "SeriesElem":
         return cls(alg, {exp2: elem}, floor2)
 
-    @classmethod
-    def z_pow(cls, alg: Algebra, exp, coeff=1, floor=None) -> "SeriesElem":
-        return cls(alg, {_floor2(exp): alg.scalar(coeff)}, _floor2(floor))
-
     # -- inspection --------------------------------------------------------
 
     def coeff2(self, n2: int) -> UEAElement:
         if self.floor2 is not None and n2 < self.floor2:
             raise ValueError(
-                f"coefficient at z^{HalfInt(n2)} below the floor z^{HalfInt(self.floor2)}")
+                f"coefficient at z^{half_str(n2)} below the floor z^{half_str(self.floor2)}")
         return self.terms.get(n2, self.alg.zero())
-
-    def coeff(self, exp) -> UEAElement:
-        return self.coeff2(_floor2(exp))
 
     def top2(self) -> Optional[int]:
         return max(self.terms) if self.terms else None
@@ -182,13 +157,10 @@ class SeriesElem:
         return SeriesElem(self.alg, {n2: x.scale(c) for n2, x in self.terms.items()},
                           self.floor2)
 
-    def shift2(self, k2: int, coeff=None) -> "SeriesElem":
-        """Multiply by the scalar monomial z^{k2/2} (times coeff if given)."""
+    def shift2(self, k2: int) -> "SeriesElem":
+        """Multiply by the scalar monomial z^{k2/2}."""
         f2 = None if self.floor2 is None else self.floor2 + k2
-        terms = {n2 + k2: c for n2, c in self.terms.items()}
-        if coeff is not None and coeff != 1:
-            terms = {n2: c.scale(coeff) for n2, c in terms.items()}
-        return SeriesElem(self.alg, terms, f2)
+        return SeriesElem(self.alg, {n2 + k2: c for n2, c in self.terms.items()}, f2)
 
     def _mul_floor2(self, other: "SeriesElem") -> Optional[int]:
         fx, fy = self.floor2, other.floor2
@@ -261,8 +233,8 @@ class SeriesElem:
                 return (n2, d)
         return None
 
-    def agrees_with(self, other: "SeriesElem", floor=None) -> bool:
-        return self.first_diff2(other, _floor2(floor)) is None
+    def agrees_with(self, other: "SeriesElem", f2: Optional[int] = None) -> bool:
+        return self.first_diff2(other, f2) is None
 
     def __eq__(self, other):
         if not isinstance(other, SeriesElem):
@@ -284,15 +256,15 @@ class SeriesElem:
             if n2 == 0:
                 parts.append(f"({ctext})")
             else:
-                parts.append(f"({ctext})*z^{HalfInt(n2)}")
+                parts.append(f"({ctext})*z^{half_str(n2)}")
         if self.floor2 is not None:
-            parts.append(f"O(z^{HalfInt(self.floor2 - 1)})")
+            parts.append(f"O(z^{half_str(self.floor2 - 1)})")
         return " + ".join(parts) if parts else "0"
 
     def to_json_obj(self) -> dict:
         return {
-            "floor": None if self.floor2 is None else str(HalfInt(self.floor2)),
-            "terms": [{"zpow": str(HalfInt(n2)), "element": self.terms[n2].to_json_obj()}
+            "floor": None if self.floor2 is None else half_str(self.floor2),
+            "terms": [{"zpow": half_str(n2), "element": self.terms[n2].to_json_obj()}
                       for n2 in self.exponents2()],
         }
 
@@ -367,16 +339,15 @@ class SeriesMatrix:
             return self.matmul(other)
         return NotImplemented
 
-    def scale_rows(self, scales) -> "SeriesMatrix":
-        """scales: per row (exp2, coeff) — multiply row i by coeff*z^{exp2/2}."""
-        return SeriesMatrix(self.alg, [
-            [e.shift2(scales[i][0], scales[i][1]) for e in row]
-            for i, row in enumerate(self.data)])
+    def scale_rows(self, scales: Sequence[int]) -> "SeriesMatrix":
+        """Multiply row i by z^{scales[i]/2}."""
+        return SeriesMatrix(self.alg, [[e.shift2(scales[i]) for e in row]
+                                       for i, row in enumerate(self.data)])
 
-    def scale_cols(self, scales) -> "SeriesMatrix":
-        return SeriesMatrix(self.alg, [
-            [e.shift2(scales[j][0], scales[j][1]) for j, e in enumerate(row)]
-            for row in self.data])
+    def scale_cols(self, scales: Sequence[int]) -> "SeriesMatrix":
+        """Multiply column j by z^{scales[j]/2}."""
+        return SeriesMatrix(self.alg, [[e.shift2(scales[j]) for j, e in enumerate(row)]
+                                       for row in self.data])
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "SeriesMatrix":
         return SeriesMatrix(self.alg, [[self.data[i][j] for j in cols] for i in rows])
@@ -413,8 +384,8 @@ class SeriesMatrix:
                     return (i, j) + d
         return None
 
-    def agrees_with(self, other: "SeriesMatrix", floor=None) -> bool:
-        return self.first_diff(other, _floor2(floor)) is None
+    def agrees_with(self, other: "SeriesMatrix", f2: Optional[int] = None) -> bool:
+        return self.first_diff(other, f2) is None
 
     def to_json_obj(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -501,7 +472,7 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
           f2: Optional[int] = None, row_scale=None, col_scale=None) -> SeriesMatrix:
     """A^{-1}·Y to the doubled floor f2, computed right to left.
 
-    row_scale / col_scale (per-index (exp2, coeff) pairs, Dr = z^rs and
+    row_scale / col_scale (doubled exponents, one per index: Dr = z^rs and
     Dc = z^cs) expose a scalar pivot hidden by mixed exponents: with the
     pivot pre = C^{-1} z^{-d} of Dr·A·Dc from `_detect_pivot` and
     T = pre·Dr·A·Dc - 1,
@@ -526,7 +497,7 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
     d2, C, decaying = _detect_pivot(M)
     g2 = None
     if decaying and f2 is not None:
-        g2 = f2 - max((e2 for e2, _ in col_scale or ()), default=0)
+        g2 = f2 - max(col_scale or (), default=0)
 
     pre = SeriesMatrix.from_scalar(alg, C.inverse(), -d2)
     negT = SeriesMatrix.identity(alg, n) - pre.matmul(M, mul)
@@ -541,10 +512,11 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
     return S.truncate2(f2)
 
 
-def invert_matrix(A: SeriesMatrix, floor=None, mul: Optional[MulFn] = None) -> SeriesMatrix:
-    """Two-sided inverse of a square series matrix, to the requested floor:
+def invert_matrix(A: SeriesMatrix, f2: Optional[int] = None,
+                  mul: Optional[MulFn] = None) -> SeriesMatrix:
+    """Two-sided inverse of a square series matrix, to the doubled floor f2:
     `solve` against the identity."""
-    return solve(A, SeriesMatrix.identity(A.alg, A.rows), mul, _floor2(floor))
+    return solve(A, SeriesMatrix.identity(A.alg, A.rows), mul, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +580,15 @@ def _deliver(out: SeriesMatrix, f2: Optional[int]) -> SeriesMatrix:
     d2 = max((e.floor2 for row in out.data for e in row
               if e.floor2 is not None), default=None)
     if d2 is not None and d2 > f2:
-        raise ArithmeticError(f"cannot reach floor z^{HalfInt(f2)}: delivered "
-                              f"only z^{HalfInt(d2)}")
+        raise ArithmeticError(f"cannot reach floor z^{half_str(f2)}: delivered "
+                              f"only z^{half_str(d2)}")
     return out.truncate2(f2)
 
 
 def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
-                     floor=None, mul: Optional[MulFn] = None, method: str = "both",
-                     inner_row_scale=None, inner_col_scale=None) -> SeriesMatrix:
+                     f2: Optional[int] = None, mul: Optional[MulFn] = None,
+                     method: str = "both", inner_row_scale=None,
+                     inner_col_scale=None) -> SeriesMatrix:
     """Generalized quasideterminant (J1·A^{-1}·I1)^{-1}.
 
     method 'definition' inverts A and then the sandwich; 'submatrix' uses
@@ -626,7 +599,7 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
     of U(g) on M when A_IJ and A_IcJ are reduced.
 
     Each route runs once, with its working floors derived from the
-    requested floor f and the tops of the factors:
+    requested doubled floor f and the tops of the factors:
 
     - definition: A^{-1} to f.  If the sandwich S tops out at z^t with
       t < 0, inverting S costs 2t of depth, so A^{-1} is recomputed to
@@ -640,19 +613,15 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
         raise ValueError("matrix not square")
     if I1.rows != A.rows or J1.cols != A.rows or I1.cols != J1.rows:
         raise ValueError("selector shape mismatch")
-    f2 = _floor2(floor)
-
-    def inverse(M, g2):
-        return solve(M, SeriesMatrix.identity(M.alg, M.rows), mul, g2)
 
     def by_definition():
-        B = inverse(A, f2)
+        B = invert_matrix(A, f2, mul)
         S = sandwich(J1, B, I1)
         t2 = S.max_top2()
         if f2 is not None and t2 is not None and t2 < 0:
-            B = inverse(A, f2 + 2 * t2)
+            B = invert_matrix(A, f2 + 2 * t2, mul)
             S = sandwich(J1, B, I1)
-        return inverse(S, f2)
+        return invert_matrix(S, f2, mul)
 
     def by_submatrix():
         rowsI = _selector_indices(I1, by_cols=True)
@@ -682,7 +651,7 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
     if diff is not None:
         i, j, n2, _ = diff
         raise ArithmeticError(
-            f"quasideterminant paths disagree at entry ({i + 1},{j + 1}), z^{HalfInt(n2)}")
+            f"quasideterminant paths disagree at entry ({i + 1},{j + 1}), z^{half_str(n2)}")
     return qs
 
 
@@ -781,9 +750,9 @@ class BiSeries:
 
     def to_json_obj(self) -> dict:
         return {
-            "zfloor": None if self.zfloor2 is None else str(HalfInt(self.zfloor2)),
-            "wfloor": None if self.wfloor2 is None else str(HalfInt(self.wfloor2)),
-            "terms": [{"zpow": str(HalfInt(m2)), "wpow": str(HalfInt(n2)),
+            "zfloor": None if self.zfloor2 is None else half_str(self.zfloor2),
+            "wfloor": None if self.wfloor2 is None else half_str(self.wfloor2),
+            "terms": [{"zpow": half_str(m2), "wpow": half_str(n2),
                        "element": self.terms[(m2, n2)].to_json_obj()}
                       for (m2, n2) in sorted(self.terms, reverse=True)],
         }
@@ -815,7 +784,7 @@ def yangian_identity_check(A: SeriesMatrix, mul: Optional[MulFn] = None):
                         m2, n2, diff = d
                         witnesses.append({
                             "quadruple": (i + 1, j + 1, h + 1, k + 1),
-                            "zpow": str(HalfInt(m2)), "wpow": str(HalfInt(n2)),
+                            "zpow": half_str(m2), "wpow": half_str(n2),
                             "difference": diff.to_text(),
                         })
                         if len(witnesses) >= _MAX_WITNESSES:
@@ -852,7 +821,7 @@ def inverse_mixed_identity_check(A: SeriesMatrix, Ainv: SeriesMatrix):
                         m2, n2, diff = d
                         witnesses.append({
                             "quadruple": (i + 1, j + 1, h + 1, k + 1),
-                            "zpow": str(HalfInt(m2)), "wpow": str(HalfInt(n2)),
+                            "zpow": half_str(m2), "wpow": half_str(n2),
                             "difference": diff.to_text(),
                         })
                         if len(witnesses) >= _MAX_WITNESSES:

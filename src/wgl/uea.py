@@ -27,7 +27,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .pyramid import Box, HalfInt, Partition, boxes, grading_class, x_coord
+from .pyramid import Box, Partition, boxes, grading_class, grading_degree
 
 Coeff = Union[int, Fraction]
 
@@ -78,10 +78,7 @@ class Algebra:
         self.letter_rank = tuple(rank)
         self.letter_json = tuple(((a.i, a.h), (b.i, b.h)) for a, b in pairs)
         self.cls = tuple(grading_class(partition, a, b) for a, b in pairs)
-        self.deg2 = tuple(
-            x_coord(partition, a).doubled - x_coord(partition, b).doubled
-            for a, b in pairs
-        )
+        self.deg2 = tuple(grading_degree(partition, a, b) for a, b in pairs)
         # Kazhdan degree of a letter is 1 - (grading degree), doubled here.
         self.delta2 = tuple(2 - d for d in self.deg2)
         # (f | e_{a,b}): 1 iff b is the box immediately right of a in its row.
@@ -367,12 +364,13 @@ class UEAElement:
 
     # -- gradings ---------------------------------------------------------------
 
-    def kazhdan_degree(self) -> Optional[HalfInt]:
-        """Smallest filtration degree containing this element; None for 0."""
+    def kazhdan_degree(self) -> Optional[int]:
+        """Smallest filtration degree containing this element, doubled; None
+        for 0."""
         if not self.terms:
             return None
         delta2 = self.alg.delta2
-        return HalfInt(max(sum(delta2[ell] for ell in m) for m in self.terms))
+        return max(sum(delta2[ell] for ell in m) for m in self.terms)
 
     def is_central(self) -> bool:
         alg = self.alg

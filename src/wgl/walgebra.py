@@ -19,8 +19,9 @@ Every routine returns a plain report dict:
     {"check": ..., "partition": ..., "floor": ..., "pass": bool,
      "witnesses": [...], ...extras}
 
-so the CLI can serialize them uniformly.  floor is rendered as a string
-half-integer, or None when the computation is exact (no truncation).
+so the CLI can serialize them uniformly.  Floors and exponents are doubled
+ints throughout; a report renders its floor as a half-integer string, or
+None when the computation is exact (no truncation).
 """
 
 from dataclasses import dataclass
@@ -28,10 +29,10 @@ from typing import Optional, Sequence
 
 from .pyramid import (
     Box,
-    HalfInt,
     Partition,
     ScalarMatrix,
     box_position,
+    half_str,
     shift_matrix,
     structure_matrices,
     x_coord,
@@ -55,7 +56,6 @@ from .series import (
     noncomm_det,
     quasideterminant,
     yangian_identity_check,
-    _floor2,
 )
 
 __all__ = [
@@ -78,12 +78,13 @@ __all__ = [
 ]
 
 
-def default_floor(p: Partition) -> HalfInt:
-    """Truncation used when the caller does not pick one: -(2*p1 + 4)."""
-    return HalfInt(-4 * p.parts[0] - 8)
+def default_floor(p: Partition) -> int:
+    """Doubled truncation used when the caller does not pick one:
+    z^-(2*p1 + 4)."""
+    return -4 * p.parts[0] - 8
 
 
-def _floor2_for(p: Partition, floor) -> int:
+def _floor2_for(p: Partition, f2: Optional[int]) -> int:
     """Doubled truncation floor for p: the given one, else the default.
 
     L(z) starts at z^{p1}, so a floor above p1 would cut into the leading
@@ -92,18 +93,15 @@ def _floor2_for(p: Partition, floor) -> int:
     unit of depth, and (2,1,1,1) at -8 already takes minutes and gigabytes.
     """
     default = default_floor(p)
-    f2 = _floor2(default if floor is None else floor)
+    if f2 is None:
+        return default
     if f2 > 2 * p.parts[0]:
-        raise ValueError(f"floor {HalfInt(f2)} is above the top power z^{p.parts[0]} "
+        raise ValueError(f"floor {half_str(f2)} is above the top power z^{p.parts[0]} "
                          "of L(z)")
-    if f2 < 2 * default.doubled:
-        raise ValueError(f"floor {HalfInt(f2)} is below {HalfInt(2 * default.doubled)}, "
-                         f"twice the default depth {default} for partition {p}")
+    if f2 < 2 * default:
+        raise ValueError(f"floor {half_str(f2)} is below {half_str(2 * default)}, "
+                         f"twice the default depth {half_str(default)} for partition {p}")
     return f2
-
-
-def _floor_str(f2: Optional[int]) -> Optional[str]:
-    return None if f2 is None else str(HalfInt(f2))
 
 
 def _report(check: str, p: Optional[Partition], f2: Optional[int],
@@ -111,7 +109,7 @@ def _report(check: str, p: Optional[Partition], f2: Optional[int],
     rep = {
         "check": check,
         "partition": None if p is None else str(p),
-        "floor": _floor_str(f2),
+        "floor": None if f2 is None else half_str(f2),
         "pass": bool(ok),
         "witnesses": witnesses,
     }
@@ -167,16 +165,15 @@ def build_shifted_matrix(p: Partition) -> SeriesMatrix:
 
 
 def _inner_scales(p: Partition, row_boxes: Sequence[Box], col_boxes: Sequence[Box]):
-    """Scalings that expose a scalar pivot in the complement submatrix.
+    """Row and column scalings, as doubled exponents, that expose a scalar
+    pivot in the complement submatrix.
 
     Conjugating by diag(z^{x(b)}) turns the z-diagonal and the unit
     subdiagonal of the shifted matrix into a single invertible z^0 block
     while every remaining entry strictly decays; the extra -1 on the row
     side shifts the whole product by z^{-1} so the block lands at z^0.
     """
-    rs = [(-2 - x_coord(p, b).doubled, 1) for b in row_boxes]
-    cs = [(x_coord(p, b).doubled, 1) for b in col_boxes]
-    return rs, cs
+    return [-2 - x_coord(p, b) for b in row_boxes], [x_coord(p, b) for b in col_boxes]
 
 
 @dataclass
@@ -187,12 +184,12 @@ class LOperator:
     in M.  lift, when `build_L` was asked for it, is the r1 x r1
     quasideterminant of the shifted matrix with plain enveloping-algebra
     coefficients, of which reduced is the image; it is None otherwise.
-    floor None means the series is exact (a polynomial, which happens
-    exactly when all parts are equal).
+    floor2, the doubled truncation floor, is None when the series is exact
+    (a polynomial, which happens exactly when all parts are equal).
     """
 
     partition: Partition
-    floor: Optional[HalfInt]
+    floor2: Optional[int]
     lift: Optional[SeriesMatrix]
     reduced: SeriesMatrix
 
@@ -203,14 +200,14 @@ class LOperator:
     def to_json_obj(self) -> dict:
         return {
             "partition": str(self.partition),
-            "floor": None if self.floor is None else str(self.floor),
+            "floor": None if self.floor2 is None else half_str(self.floor2),
             "lift": None if self.lift is None else self.lift.to_json_obj(),
             "L": self.reduced.to_json_obj(),
         }
 
     def to_text(self) -> str:
         lines = [f"L(z) for partition {self.partition}"
-                 + ("" if self.floor is None else f", floor z^{self.floor}")]
+                 + ("" if self.floor2 is None else f", floor z^{half_str(self.floor2)}")]
         for i in range(self.reduced.rows):
             for j in range(self.reduced.cols):
                 lines.append(f"  L[{i + 1}][{j + 1}] = "
@@ -218,7 +215,7 @@ class LOperator:
         return "\n".join(lines)
 
 
-def build_L(p: Partition, floor=None, lift: bool = False) -> LOperator:
+def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOperator:
     """L(z): the generalized quasideterminant of the shifted matrix at the
     corner selectors (rows of the first boxes, columns of the last boxes of
     the longest rows), reduced to M.
@@ -233,10 +230,11 @@ def build_L(p: Partition, floor=None, lift: bool = False) -> LOperator:
 
     When all parts are equal the complement submatrix is unit-triangular up
     to permutation, the geometric tail is nilpotent, and the result is an
-    exact polynomial; otherwise the requested (or default) floor applies.
+    exact polynomial; otherwise the requested (or default) doubled floor f2
+    applies.
     """
     p1, r1 = p.parts[0], p.r1
-    f2 = None if p.r == r1 and floor is None else _floor2_for(p, floor)
+    f2 = None if p.r == r1 and f2 is None else _floor2_for(p, f2)
     A = build_shifted_matrix(p)
     pos = box_position(p)
     rs = cs = None
@@ -246,7 +244,7 @@ def build_L(p: Partition, floor=None, lift: bool = False) -> LOperator:
         rs, cs = _inner_scales(p, [b for b in A.alg.boxes if pos[b] not in rowsI],
                                [b for b in A.alg.boxes if pos[b] not in colsJ])
     sm = structure_matrices(p)
-    q = quasideterminant(A, sm["I1"], sm["J1"], floor=None if f2 is None else HalfInt(f2),
+    q = quasideterminant(A, sm["I1"], sm["J1"], f2,
                          mul=None if lift else act, method="submatrix",
                          inner_row_scale=rs, inner_col_scale=cs)
     lifted = q if lift else None
@@ -266,10 +264,7 @@ def build_L(p: Partition, floor=None, lift: bool = False) -> LOperator:
                     f"leading coefficient of L at ({i + 1},{j + 1}) is not "
                     f"{want}: {lead[i][j].to_text()}")
 
-    return LOperator(partition=p,
-                     floor=None if f2 is None else HalfInt(f2),
-                     lift=lifted,
-                     reduced=reduced)
+    return LOperator(partition=p, floor2=f2, lift=lifted, reduced=reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +285,7 @@ def _weighted_E(alg: Algebra) -> SeriesMatrix:
     return SeriesMatrix(alg, rows)
 
 
-def main_lemma_sides(p: Partition, floor=None):
+def main_lemma_sides(p: Partition, f2: Optional[int] = None):
     """Both sides of the expansion identity as r1 x r1 series over the
     quotient module: the corner quasideterminant of 1 + z^{-D}E applied to
     the cyclic vector, and z^{-p1} L(z).
@@ -300,11 +295,11 @@ def main_lemma_sides(p: Partition, floor=None):
     legitimate).  The working floor sits 2*(p1-2) below the requested one:
     within a chain of weighted-letter factors the z-exponents telescope
     through the x-coordinates, so a partial product can climb at most p1-2
-    above its eventual exponent.
+    above its eventual exponent.  f2 is the requested doubled floor.
     """
     alg = Algebra(p)
     p1, r1 = p.parts[0], p.r1
-    f2 = _floor2_for(p, floor)
+    f2 = _floor2_for(p, f2)
     if f2 > -2 * p1:
         raise ValueError(f"floor must be at most -p1 = {-p1}")
     f2w = f2 - max(0, 2 * (p1 - 2))
@@ -316,7 +311,7 @@ def main_lemma_sides(p: Partition, floor=None):
 
     # J1·(sum_l (-T)^l)·(I1·1), every term reduced: the seed is the reduced
     # identity and each product is the action on M
-    zero_row = [SeriesElem.zero(alg, HalfInt(f2w)) for _ in range(r1)]
+    zero_row = [SeriesElem.zero(alg, f2w) for _ in range(r1)]
     one = SeriesMatrix.from_scalar(alg, ScalarMatrix.identity(r1)).map_entries(_reduce_series)
     data = [list(zero_row) for _ in range(alg.N)]
     for n, i in enumerate(rowsI):
@@ -326,7 +321,7 @@ def main_lemma_sides(p: Partition, floor=None):
 
     t2 = Y0.max_top2()
     if t2 is not None and t2 > 0:
-        raise ArithmeticError(f"reduced corner series has positive exponent {HalfInt(t2)}")
+        raise ArithmeticError(f"reduced corner series has positive exponent {half_str(t2)}")
     # the z^0 coefficient must be the scalar (-1)^(p1-1) identity
     want = (-1) ** (p1 - 1)
     for i in range(r1):
@@ -344,21 +339,21 @@ def main_lemma_sides(p: Partition, floor=None):
     # run entirely in the quotient subalgebra where multiplication of reduced
     # representatives is well defined.  Exponents only add there, so the
     # requested floor needs no extra margin.
-    lhs = invert_matrix(Y0.truncate2(f2), HalfInt(f2), mul=w_product)
+    lhs = invert_matrix(Y0.truncate2(f2), f2, w_product)
 
-    L = build_L(p, floor=None if p.r == r1 else HalfInt(f2 + 2 * p1))
+    L = build_L(p, None if p.r == r1 else f2 + 2 * p1)
     rhs = L.reduced.map_entries(lambda e: e.shift2(-2 * p1)).truncate2(f2)
     return lhs, rhs
 
 
-def main_lemma_check(p: Partition, floor=None) -> dict:
-    f2 = _floor2_for(p, floor)
-    lhs, rhs = main_lemma_sides(p, HalfInt(f2))
+def main_lemma_check(p: Partition, f2: Optional[int] = None) -> dict:
+    f2 = _floor2_for(p, f2)
+    lhs, rhs = main_lemma_sides(p, f2)
     witnesses = []
     d = lhs.first_diff(rhs, f2)
     if d is not None:
         i, j, n2, diff = d
-        witnesses.append({"entry": (i + 1, j + 1), "zpow": str(HalfInt(n2)),
+        witnesses.append({"entry": (i + 1, j + 1), "zpow": half_str(n2),
                           "difference": diff.to_text()})
     return _report("main-lemma", p, f2, not witnesses, witnesses)
 
@@ -390,11 +385,10 @@ def w_membership_check(L: LOperator) -> dict:
                     a, b = w
                     witnesses.append({
                         "entry": (i + 1, j + 1),
-                        "zpow": str(HalfInt(n2)),
+                        "zpow": half_str(n2),
                         "letter": f"e[{a}][{b}]",
                     })
-    f2 = None if L.floor is None else L.floor.doubled
-    return _report("membership", L.partition, f2, not witnesses, witnesses,
+    return _report("membership", L.partition, L.floor2, not witnesses, witnesses,
                    coefficients_checked=checked)
 
 
@@ -433,8 +427,8 @@ def yangian_check_L(L: LOperator) -> dict:
                     if d:
                         witnesses.append({
                             "quadruple": (1, 1, 1, 1),
-                            "zpow": str(HalfInt(m2)),
-                            "wpow": str(HalfInt(n2)),
+                            "zpow": half_str(m2),
+                            "wpow": half_str(n2),
                             "difference": basis.poly_text(d),
                         })
         else:
@@ -446,17 +440,16 @@ def yangian_check_L(L: LOperator) -> dict:
                     if mn.terms != nm.terms:
                         witnesses.append({
                             "quadruple": (1, 1, 1, 1),
-                            "zpow": str(HalfInt(m2)),
-                            "wpow": str(HalfInt(n2)),
+                            "zpow": half_str(m2),
+                            "wpow": half_str(n2),
                             "difference": (mn - nm).to_text(),
                         })
         ok = not witnesses
-        if L.floor is None:
+        if L.floor2 is None:
             extras["exact_commutator_zero"] = ok
     else:
         ok, witnesses = yangian_identity_check(L.reduced, mul=w_product)
-    f2 = None if L.floor is None else L.floor.doubled
-    return _report("yangian", L.partition, f2, ok, witnesses, **extras)
+    return _report("yangian", L.partition, L.floor2, ok, witnesses, **extras)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +481,13 @@ def capelli_suite(N: int) -> dict:
     witnesses = []
     coeffs = []
     for k in range(1, N + 1):
-        zk = det.coeff(N - k)
+        zk = det.coeff2(2 * (N - k))
         central = zk.is_central()
         coeffs.append({"k": k, "element": zk.to_json_obj(),
                        "text": zk.to_text(), "central": central})
         if not central:
             witnesses.append({"k": k, "element": zk.to_text()})
-    lead = det.coeff(N)
+    lead = det.coeff2(2 * N)
     if lead != alg.one():
         witnesses.append({"k": 0, "element": lead.to_text()})
     return _report("capelli", p, None, not witnesses, witnesses,
@@ -569,8 +562,7 @@ def rho_det_identities(N: int) -> dict:
     sm = structure_matrices(p)
     rd = noncomm_det(A, "row")
     cd = noncomm_det(A, "column")
-    qd = quasideterminant(A, sm["I1"], sm["J1"], floor=None,
-                          method="submatrix").data[0][0]
+    qd = quasideterminant(A, sm["I1"], sm["J1"], method="submatrix").data[0][0]
     sign = (-1) ** (N + 1)
     sd = rd if sign == 1 else -rd
     note("rdet(shifted) = cdet(shifted)", rd == cd,
@@ -578,20 +570,19 @@ def rho_det_identities(N: int) -> dict:
     note("corner quasideterminant = (-1)^(N+1) rdet(shifted)", sd == qd,
          None if sd == qd else (sd - qd).to_text())
     # the two quasideterminant routes must also agree under truncation
-    both = quasideterminant(A, sm["I1"], sm["J1"], floor=HalfInt(-12),
-                            method="both").data[0][0]
+    f2 = -12     # z^-6
+    both = quasideterminant(A, sm["I1"], sm["J1"], f2, method="both").data[0][0]
     note("quasideterminant routes agree at floor -6", qd.agrees_with(both),
          None)
 
     # commutator of a matrix entry with an entry of its inverse, expanded
     # into the delta-sum form, for z*1 + E at floor -6
-    f2m = HalfInt(-12)
     zrows = [[SeriesElem(alg,
                          {2: alg.one(), 0: elem(i + 1, j + 1)} if i == j
-                         else {0: elem(i + 1, j + 1)}, f2m)
+                         else {0: elem(i + 1, j + 1)}, f2)
               for j in range(N)] for i in range(N)]
     Z = SeriesMatrix(alg, zrows)
-    mok, mwit = inverse_mixed_identity_check(Z, invert_matrix(Z, f2m))
+    mok, mwit = inverse_mixed_identity_check(Z, invert_matrix(Z, f2))
     note("mixed inverse commutator identity at floor -6", mok,
          None if mok else mwit[:3])
 
@@ -776,7 +767,7 @@ def _top_symbol_projection(alg: Algebra, weighted: list, d2top: int):
     for w2, mono, c in weighted:
         if w2 > d2top:
             return False, {"monomial": [str(alg.letters[lid]) for lid in mono],
-                           "weight": str(HalfInt(w2))}
+                           "weight": half_str(w2)}
         if w2 < d2top:
             continue
         labels = []
@@ -915,7 +906,7 @@ class GeneratorBasis:
             d2 = max(w2 for w2, _, _ in weighted)
             if prev2 is not None and d2 >= prev2:
                 raise ArithmeticError("graded elimination stalled: "
-                                      f"weight {HalfInt(d2)} did not drop")
+                                      f"weight {half_str(d2)} did not drop")
             prev2 = d2
             ok, poly = _top_symbol_projection(self.alg, weighted, d2)
             if not ok:
@@ -1133,7 +1124,7 @@ def relation_table_check(g: WGenerators) -> dict:
 # block reconstruction of L(z) from a generator table
 
 
-def conjecture_check(p: Partition, g: WGenerators, floor=None) -> dict:
+def conjecture_check(p: Partition, g: WGenerators, f2: Optional[int] = None) -> dict:
     """Rebuild L(z) as the corner quasideterminant of -(-z)^p + W(z) over
     the quotient algebra and compare with the shifted-matrix construction.
 
@@ -1142,6 +1133,7 @@ def conjecture_check(p: Partition, g: WGenerators, floor=None) -> dict:
     top-left - top-right * inverse(bottom-right) * bottom-left (the
     submatrix route of `quasideterminant`), and the bottom-right block has
     the invertible diagonal -(-z)^{q_a} after scaling row a by z^{-q_a}.
+    f2 is the doubled floor of the comparison.
     """
     alg = Algebra(p)
     r, r1 = p.r, p.r1
@@ -1154,24 +1146,22 @@ def conjecture_check(p: Partition, g: WGenerators, floor=None) -> dict:
 
     if r == r1:
         # the comparison is exact, so a given floor is only range-checked
-        if floor is not None:
-            _floor2_for(p, floor)
+        if f2 is not None:
+            _floor2_for(p, f2)
         L = build_L(p)
         cand = M
-        f2 = None
     else:
-        L = build_L(p, floor)
-        f2 = L.floor.doubled
+        L = build_L(p, f2)
         sel = ScalarMatrix.from_rows([[int(i == j) for j in range(r1)] for i in range(r)])
-        cand = quasideterminant(M, sel, sel.transpose(), L.floor, mul=w_product,
+        cand = quasideterminant(M, sel, sel.transpose(), L.floor2, mul=w_product,
                                 method="submatrix",
-                                inner_row_scale=[(-2 * qa, 1) for qa in p.parts[r1:]])
+                                inner_row_scale=[-2 * qa for qa in p.parts[r1:]])
 
     witnesses = []
-    d = L.reduced.first_diff(cand, f2)
+    d = L.reduced.first_diff(cand, L.floor2)
     if d is not None:
         i, j, n2, diff = d
-        witnesses.append({"entry": (i + 1, j + 1), "zpow": str(HalfInt(n2)),
+        witnesses.append({"entry": (i + 1, j + 1), "zpow": half_str(n2),
                           "difference": diff.to_text()})
-    return _report("conjecture", p, f2, not witnesses, witnesses,
+    return _report("conjecture", p, L.floor2, not witnesses, witnesses,
                    family=g.family)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgl.cli import _write_json, main
-from wgl.pyramid import HalfInt, Partition
+from wgl.pyramid import Partition
 from wgl.walgebra import build_L
 
 
@@ -186,6 +186,45 @@ def test_zero_denominator_floor_is_usage_error(capsys, argv):
     assert (code, out, err) == (2, "", "error: '1/0' has a zero denominator\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("L", "--partition", "2,1"),
+    ("check", "membership", "--partition", "2,1"),
+    ("conjecture", "--partition", "2,1"),
+], ids=["L", "check", "conjecture"])
+def test_negative_half_floor_may_follow_a_space(capsys, argv):
+    spaced = run(capsys, *argv, "--floor", "-9/2", "--format", "json")
+    joined = run(capsys, *argv, "--floor=-9/2", "--format", "json")
+    assert spaced == joined and spaced[0] == 0
+    assert json.loads(spaced[1])["floor"] == "-9/2"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("check", "capelli", "--n", "2", "--partition", "2,1", "--floor", "7"), "--partition"),
+    (("check", "identities", "--n", "2", "--floor", "-3"), "--floor"),
+    (("check", "premet", "--partition", "2,1", "--floor", "-3"), "--floor"),
+    (("check", "yangian", "--partition", "2,1", "--family", "minimal"), "--family"),
+    (("check", "main-lemma", "--partition", "2", "--n", "2"), "--n"),
+], ids=["capelli-partition", "identities-floor", "premet-floor", "yangian-family",
+        "main-lemma-n"])
+def test_check_refuses_an_option_it_does_not_read(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: check {argv[1]} does not read {option}\n")
+
+
+def test_failure_report_renders_the_parsed_floor(capsys, monkeypatch):
+    import wgl.cli
+
+    def fail(p, f2):
+        raise ArithmeticError(f"stopped at floor {f2}")
+
+    monkeypatch.setattr(wgl.cli, "main_lemma_check", fail)
+    code, out, _ = run(capsys, "check", "main-lemma", "--partition", "2",
+                       "--floor", "-10/2", "--format", "json")
+    rep = json.loads(out)
+    assert (code, rep["floor"], rep["pass"]) == (1, "-5", False)
+    assert rep["witnesses"] == [{"error": "stopped at floor -10"}]
+
+
 def test_floor_equal_to_the_largest_part_is_accepted(capsys):
     code, out, _ = run(capsys, "L", "--partition", "2,1", "--floor", "2",
                        "--format", "json")
@@ -336,7 +375,7 @@ def _stdlib_json(obj) -> str:
 _ROWS = st.lists(st.lists(st.integers(), max_size=3), min_size=1, max_size=3)
 _LEAVES = st.one_of(
     st.text(), st.integers(), st.booleans(), st.none(), st.floats(),
-    st.fractions(), st.integers().map(HalfInt),
+    st.fractions(),
     _ROWS, _ROWS.map(lambda rows: tuple(map(tuple, rows))),
     # one object per example, so it recurs at several depths
     st.shared(_ROWS, key="rows"),
@@ -376,7 +415,7 @@ class _RecordingSink:
 
 def test_json_output_is_streamed():
     sink = _RecordingSink()
-    _write_json(build_L(Partition((2, 1, 1)), -2, lift=True).to_json_obj(), sink)
+    _write_json(build_L(Partition((2, 1, 1)), -4, lift=True).to_json_obj(), sink)
     total = sum(sink.sizes)
     assert total == 1_167_356
     assert len(sink.sizes) > 1 and max(sink.sizes) < total // 2

@@ -24,10 +24,12 @@ tracer.install()
 from wgl.pyramid import Partition
 from wgl.walgebra import GeneratorBasis, family_generators
 
-basis = GeneratorBasis(family_generators(Partition((2, 1)), "minimal"))
-product = basis.poly_mul({(4,): 1}, {(0, 1): 1})
-rc = wgl.cli.main(["check", "yangian", "--partition", "2,1", "--floor", "-2",
-                   "--format", "json"])
+argv = json.loads(sys.argv[2])
+product = {}
+if argv[:2] == ["check", "yangian"]:
+    basis = GeneratorBasis(family_generators(Partition((2, 1)), "minimal"))
+    product = basis.poly_mul({(4,): 1}, {(0, 1): 1})
+rc = wgl.cli.main(argv + ["--format", "json"])
 dump = tracer.dump()
 counts, _ = aggregate(dump["spans"], dump["caches"])
 with open(sys.argv[1], "w") as fh:
@@ -36,13 +38,17 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def test_tracer_wraps_and_reads_the_package(tmp_path):
+def _traced(tmp_path, argv):
     out = tmp_path / "trace.json"
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    subprocess.run([sys.executable, "-c", SCRIPT, str(out)], env=env,
+    subprocess.run([sys.executable, "-c", SCRIPT, str(out), json.dumps(argv)], env=env,
                    check=True, stdout=subprocess.DEVNULL, timeout=120)
-    got = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def test_tracer_wraps_and_reads_the_package(tmp_path):
+    got = _traced(tmp_path, ["check", "yangian", "--partition", "2,1", "--floor", "-2"])
     assert got["rc"] == 0 and got["product"] > 0
     assert set(got["caches"]) == {
         "uea.lm_cache.entries", "uea.comm_cache.entries",
@@ -53,3 +59,12 @@ def test_tracer_wraps_and_reads_the_package(tmp_path):
     assert counts["walgebra.basis.poly_mul.calls"] == 1
     assert counts["walgebra.basis.poly_mul.terms_out"] == got["product"]
     assert counts["uea.mul.calls"] > 0 and counts["quotient.w_product.calls"] > 0
+
+
+def test_tracer_reads_the_doubled_floor_of_an_inversion(tmp_path):
+    # the tracer passes invert_matrix's second positional argument through
+    # series._floor2; a floor doubled twice would read -16 here
+    got = _traced(tmp_path, ["check", "main-lemma", "--partition", "2", "--floor", "-4"])
+    assert got["rc"] == 0
+    assert got["counts"]["series.invert.calls"] == 1
+    assert got["counts"]["series.invert.floor2_min"] == -8

@@ -1,15 +1,16 @@
 import pytest
-from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from wgl.pyramid import (
     Box,
-    HalfInt,
     Partition,
     ScalarMatrix,
     box_position,
     boxes,
     gf_basis,
     grading_degree,
+    half_str,
+    parse_half2,
     shift_matrix,
     structure_matrices,
     x_coord,
@@ -17,33 +18,42 @@ from wgl.pyramid import (
 
 
 # ---------------------------------------------------------------------------
-# half-integers
+# half-integers, held doubled
 
 
-def test_halfint_of_and_parse():
-    assert HalfInt.of(3).doubled == 6
-    assert HalfInt.of(Fraction(-5, 2)).doubled == -5
-    assert HalfInt.parse("-8").doubled == -16
-    assert HalfInt.parse("7/2").doubled == 7
+def test_parse_half2_reads_integers_and_halves():
+    assert parse_half2("-8") == -16
+    assert parse_half2(" 7/2 ") == 7
+    assert parse_half2("-10/4") == -5
+    assert type(parse_half2("3")) is int
+    with pytest.raises(ValueError, match="^1/3 is not a half-integer$"):
+        parse_half2("1/3")
+    with pytest.raises(ValueError, match="^'1/0' has a zero denominator$"):
+        parse_half2("1/0")
     with pytest.raises(ValueError):
-        HalfInt.of(Fraction(1, 3))
+        parse_half2("x")
 
 
-def test_halfint_arithmetic_and_order():
-    a = HalfInt(3)  # 3/2
-    assert a + a == HalfInt(6)
-    assert a + 1 == HalfInt(5)
-    assert a - HalfInt(1) == 1
-    assert a * 2 == 3
-    assert HalfInt(-1) < 0 < a
-    assert str(a) == "3/2"
-    assert str(HalfInt(4)) == "2"
+_FLOOR_TEXT = st.one_of(
+    st.text(),
+    st.from_regex(r"\s*[+-]?\d{0,3}([./]\d{0,3})?([eE][+-]?\d)?\s*", fullmatch=True),
+)
 
 
-def test_halfint_immutable():
-    a = HalfInt(1)
-    with pytest.raises(AttributeError):
-        a.doubled = 5
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_FLOOR_TEXT)
+def test_parse_half2_returns_an_int_or_raises_value_error(text):
+    try:
+        n2 = parse_half2(text)
+    except ValueError:
+        return
+    assert type(n2) is int
+
+
+def test_half_str_renders_doubled_ints():
+    assert [half_str(n2) for n2 in (6, 3, 0, -1, -16, -15)] \
+        == ["3", "3/2", "0", "-1/2", "-8", "-15/2"]
+    assert all(parse_half2(half_str(n2)) == n2 for n2 in range(-21, 22))
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +88,10 @@ def test_boxes_order_and_position():
 
 def test_x_coordinates_centered_rows():
     p = Partition((3, 2, 1))
-    # row of length 3: 1, 0, -1; length 2: 1/2, -1/2; length 1: 0
-    assert [x_coord(p, (1, h)) for h in (1, 2, 3)] == [HalfInt(2), HalfInt(0), HalfInt(-2)]
-    assert [x_coord(p, (2, h)) for h in (1, 2)] == [HalfInt(1), HalfInt(-1)]
-    assert x_coord(p, (3, 1)) == HalfInt(0)
+    # row of length 3: 1, 0, -1; length 2: 1/2, -1/2; length 1: 0 (doubled)
+    assert [x_coord(p, (1, h)) for h in (1, 2, 3)] == [2, 0, -2]
+    assert [x_coord(p, (2, h)) for h in (1, 2)] == [1, -1]
+    assert x_coord(p, (3, 1)) == 0
     with pytest.raises(ValueError):
         x_coord(p, (2, 3))
 

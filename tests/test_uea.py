@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgl import uea
-from wgl.pyramid import Box, HalfInt, Partition
+from wgl.pyramid import Box, Partition, parse_half2
 from wgl.quotient import act, reduce_mod_I
 from wgl.uea import Algebra, _fold, _Space, element_from_json, parse_element
 from wgl.walgebra import GeneratorBasis, family_generators
@@ -75,7 +75,7 @@ def test_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError, match="zero denominator"):
         element_from_json(alg, [{"coeff": "1/0", "monomial": []}])
     with pytest.raises(ValueError, match="zero denominator"):
-        HalfInt.parse("-3/0")
+        parse_half2("-3/0")
 
 
 def test_json_shape(gl2):
@@ -92,16 +92,17 @@ def test_json_shape(gl2):
 
 def test_kazhdan_degree_values():
     alg = Algebra(Partition((2, 1)))
-    # weight of a letter is 1 - grading degree; products add
+    # weight of a letter is 1 - grading degree; products add; the values
+    # are doubled
     low = alg.gen(Box(1, 1), Box(1, 2))   # degree 1 -> weight 0
-    assert low.kazhdan_degree() == HalfInt(0)
+    assert low.kazhdan_degree() == 0
     f = alg.gen(Box(1, 2), Box(1, 1))     # degree -1 -> weight 2
-    assert f.kazhdan_degree() == HalfInt(4)
-    assert (f * f).kazhdan_degree() == HalfInt(8)
-    assert alg.scalar(7).kazhdan_degree() == HalfInt(0)
+    assert f.kazhdan_degree() == 4
+    assert (f * f).kazhdan_degree() == 8
+    assert alg.scalar(7).kazhdan_degree() == 0
     assert alg.zero().kazhdan_degree() is None
     half = alg.gen(Box(2, 1), Box(1, 1))  # degree -1/2 -> weight 3/2
-    assert half.kazhdan_degree() == HalfInt(3)
+    assert half.kazhdan_degree() == 3
 
 
 def test_central_elements(gl2):
@@ -168,7 +169,8 @@ def test_kazhdan_filtration_inequalities(seed):
         assert xy.kazhdan_degree() <= dx + dy
     br = x.commutator(y)
     if not br.is_zero():
-        assert br.kazhdan_degree() <= dx + dy - 1
+        # doubled degrees: a bracket drops the filtration by a whole unit
+        assert br.kazhdan_degree() <= dx + dy - 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wgl.pyramid import Box, HalfInt, Partition, box_position, structure_matrices
+from wgl.pyramid import Box, Partition, box_position, structure_matrices
 from wgl.quotient import act, ad_invariant_witness, reduce_mod_I, w_commutator, w_product
 from wgl.series import SeriesElem, SeriesMatrix, invert_matrix, quasideterminant, solve
 from wgl.uea import Algebra
@@ -37,20 +37,21 @@ def test_shifted_matrix_structure():
     A = build_shifted_matrix(p)
     alg = A.alg
     # diagonal: z + (projected letter) + shift value
-    assert A.data[0][0].coeff(1) == alg.one()
-    assert A.data[0][0].coeff(0) == alg.gen(Box(1, 1), Box(1, 1))
-    assert A.data[1][1].coeff(0) == alg.gen(Box(1, 2), Box(1, 2)) - alg.one()
-    assert A.data[2][2].coeff(0) == alg.gen(Box(2, 1), Box(2, 1))
+    assert A.data[0][0].coeff2(2) == alg.one()
+    assert A.data[0][0].coeff2(0) == alg.gen(Box(1, 1), Box(1, 1))
+    assert A.data[1][1].coeff2(0) == alg.gen(Box(1, 2), Box(1, 2)) - alg.one()
+    assert A.data[2][2].coeff2(0) == alg.gen(Box(2, 1), Box(2, 1))
     # a degree-1 letter is projected away, leaving only the unit F entry
-    assert A.data[1][0].coeff(0) == alg.one()
+    assert A.data[1][0].coeff2(0) == alg.one()
     # half-integer-degree letters survive the projection
-    assert A.data[2][0].coeff(0) == alg.gen(Box(1, 1), Box(2, 1))
-    assert A.data[0][2].coeff(0) == alg.gen(Box(2, 1), Box(1, 1))
+    assert A.data[2][0].coeff2(0) == alg.gen(Box(1, 1), Box(2, 1))
+    assert A.data[0][2].coeff2(0) == alg.gen(Box(2, 1), Box(1, 1))
 
 
 def test_default_floor_scales_with_largest_part():
-    assert default_floor(Partition((2,))) == HalfInt.of(-8)
-    assert default_floor(Partition((3, 1))) == HalfInt.of(-10)
+    # doubled: z^-8 and z^-10
+    assert default_floor(Partition((2,))) == -16
+    assert default_floor(Partition((3, 1))) == -20
 
 
 def test_build_L_rank_one_closed_form():
@@ -58,16 +59,16 @@ def test_build_L_rank_one_closed_form():
     alg = Algebra(p)
     e = lambda a, b: alg.gen(Box(1, a), Box(1, b))
     L = build_L(p)
-    assert L.floor is None
+    assert L.floor2 is None
     s = L.reduced.data[0][0]
-    assert s.coeff(2) == alg.scalar(-1)
-    assert s.coeff(1) == alg.one() - e(1, 1) - e(2, 2)
-    assert s.coeff(0) == reduce_mod_I(e(1, 1) + e(2, 1) - e(1, 1) * e(2, 2))
+    assert s.coeff2(4) == alg.scalar(-1)
+    assert s.coeff2(2) == alg.one() - e(1, 1) - e(2, 2)
+    assert s.coeff2(0) == reduce_mod_I(e(1, 1) + e(2, 1) - e(1, 1) * e(2, 2))
 
 
 def test_build_L_is_exact_polynomial_for_equal_parts():
     L = build_L(Partition((2, 2)))
-    assert L.floor is None
+    assert L.floor2 is None
     for i in range(2):
         for j in range(2):
             assert L.reduced.data[i][j].floor2 is None
@@ -76,7 +77,7 @@ def test_build_L_is_exact_polynomial_for_equal_parts():
 
 def test_build_L_truncates_otherwise():
     L = build_L(Partition((2, 1)))
-    assert L.floor == HalfInt.of(-8)
+    assert L.floor2 == -16
     assert L.reduced.data[0][0].floor2 == -16
     obj = L.to_json_obj()
     assert obj["partition"] == "2,1" and obj["floor"] == "-8"
@@ -84,8 +85,8 @@ def test_build_L_truncates_otherwise():
 
 
 def test_truncation_floor_does_not_change_the_coefficients():
-    deep = build_L(Partition((2, 1)), -9)
-    shallow = build_L(Partition((2, 1)), -8)
+    deep = build_L(Partition((2, 1)), -18)
+    shallow = build_L(Partition((2, 1)), -16)
     assert deep.reduced.truncate2(-16).to_json_obj() == shallow.reduced.to_json_obj()
 
 
@@ -94,7 +95,7 @@ def test_truncation_floor_does_not_change_the_coefficients():
 
 
 def test_main_lemma_smallest_case():
-    rep = main_lemma_check(Partition((2,)), -6)
+    rep = main_lemma_check(Partition((2,)), -12)
     assert rep["pass"] and rep["floor"] == "-6" and rep["witnesses"] == []
 
 
@@ -116,7 +117,7 @@ def test_determinant_identities_low_rank():
 
 
 def test_membership_of_truncated_L():
-    rep = w_membership_check(build_L(Partition((2, 1)), -8))
+    rep = w_membership_check(build_L(Partition((2, 1)), -16))
     assert rep["pass"] and rep["coefficients_checked"] > 0
 
 
@@ -268,7 +269,7 @@ def solve_floors(monkeypatch):
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 2)])
 def test_truncated_build_L_inverts_once(solve_floors, parts):
-    L = build_L(Partition(parts), -5, lift=True)
+    L = build_L(Partition(parts), -10, lift=True)
     assert len(solve_floors) == 1
     assert {e.floor2 for row in L.lift.data for e in row} == {-10}
 
@@ -279,13 +280,14 @@ def test_truncated_build_L_inverts_once(solve_floors, parts):
 ])
 def test_L_built_in_M_equals_the_reduced_lift(solve_floors, parts, floor):
     p = Partition(parts)
+    f2 = None if floor is None else 2 * floor
     lm_cache = Algebra(p)._lm_cache     # process-global: compare sizes
     before = len(lm_cache)
-    L = build_L(p, floor)
+    L = build_L(p, f2)
     # one solve and no U(g) product
     assert len(solve_floors) == 1 and len(lm_cache) == before
     assert L.lift is None
-    oracle = build_L(p, floor, lift=True).reduced
+    oracle = build_L(p, f2, lift=True).reduced
     assert L.reduced.first_diff(oracle) is None
     assert [[e.floor2 for e in row] for row in L.reduced.data] \
         == [[e.floor2 for e in row] for row in oracle.data]
@@ -296,14 +298,14 @@ def test_both_quasideterminant_routes_deliver_on_the_first_pass(solve_floors):
     p = Partition((3,))
     sm = structure_matrices(p)
     q = quasideterminant(build_shifted_matrix(p), sm["I1"], sm["J1"],
-                         floor=HalfInt(-12), method="both")
+                         -12, method="both")
     # definition: A^{-1}, A^{-1} deeper by the sandwich top, S^{-1};
     # submatrix: the inner solve
     assert len(solve_floors) == 4
     assert q.data[0][0].floor2 == -12
 
 
-def _complement(parts, floor):
+def _complement(parts, f2):
     """The complement block B of the shifted matrix, its rectangular
     right-hand side R = A_IcJ, and the scalings build_L uses on B."""
     p = Partition(parts)
@@ -314,7 +316,7 @@ def _complement(parts, floor):
     compI = [n for n in range(p.N) if n not in rowsI]
     compJ = [n for n in range(p.N) if n not in colsJ]
     rs = cs = None
-    if floor is not None:
+    if f2 is not None:
         rs, cs = _inner_scales(p, [b for b in A.alg.boxes if pos[b] in compI],
                                [b for b in A.alg.boxes if pos[b] in compJ])
     return A.submatrix(compI, compJ), A.submatrix(compI, colsJ), rs, cs
@@ -324,11 +326,11 @@ def _complement(parts, floor):
     ((2, 1, 1), -5, False), ((3,), None, False), ((2, 1, 1), -5, True),
 ])
 def test_solve_is_a_right_inverse(parts, floor, in_M):
-    B, R, rs, cs = _complement(parts, floor)
+    f2 = None if floor is None else 2 * floor
+    B, R, rs, cs = _complement(parts, f2)
     mul = act if in_M else None
     if in_M:
         R = R.map_entries(_reduce_series)
-    f2 = None if floor is None else 2 * floor
     X = solve(B, R, mul, f2, rs, cs)
     BX = B.matmul(X, mul)
     assert BX.first_diff(R) is None
@@ -344,7 +346,7 @@ def test_solve_is_a_right_inverse(parts, floor, in_M):
     # against the identity, solve is invert_matrix (on the scaled block,
     # whose pivot needs no scaling)
     D = B if rs is None else B.scale_rows(rs).scale_cols(cs)
-    inv = invert_matrix(D, floor, mul)
+    inv = invert_matrix(D, f2, mul)
     assert solve(D, one, mul, f2).data == inv.data
     assert D.matmul(inv, mul).first_diff(one) is None
 
@@ -374,7 +376,7 @@ def test_yangian_check_rejects_a_perturbed_coefficient():
 
 
 def test_membership_check_names_the_non_invariant_coefficient():
-    L = build_L(Partition((2, 1)), -3)
+    L = build_L(Partition((2, 1)), -6)
     alg = L.reduced.alg
     letter = alg.gen(Box(2, 1), Box(2, 1))
     assert ad_invariant_witness(letter) is not None
@@ -387,12 +389,54 @@ def test_main_lemma_check_names_a_perturbed_coefficient(monkeypatch):
     import wgl.walgebra
 
     p = Partition((2, 2))
-    assert main_lemma_check(p, -4)["pass"] is True
+    assert main_lemma_check(p, -8)["pass"] is True
     L = build_L(p)
     three = reduce_mod_I(L.reduced.alg.scalar(3))
     bad = _with_entry(L, "reduced", 0, 1, 2, three)
     monkeypatch.setattr(wgl.walgebra, "build_L", lambda *args, **kwargs: bad)
-    rep = main_lemma_check(p, -4)
+    rep = main_lemma_check(p, -8)
     assert rep["pass"] is False
     # z^1 of L(z) sits at z^{1-p1} on the right-hand side z^{-p1} L(z)
     assert rep["witnesses"] == [{"entry": (1, 2), "zpow": "-1", "difference": "-3"}]
+
+
+def test_premet_check_names_a_perturbed_generator():
+    g = family_generators(Partition((2, 1)), "minimal")
+    assert premet_check(g)["pass"] is True
+    key = (1, 1, 0)
+    doubled = reduce_mod_I(g.table[key].scale(2))
+    bad = dataclasses.replace(g, table={**g.table, key: doubled})
+    rep = premet_check(bad)
+    assert rep["pass"] is False
+    assert [(w["generator"], w["reason"]) for w in rep["witnesses"]] \
+        == [(key, "wrong top symbol")]
+
+
+def test_relation_table_check_names_the_broken_bracket():
+    g = family_generators(Partition((2, 1)), "minimal")
+    key = (1, 1, 0)
+    one = reduce_mod_I(Algebra(g.partition).one())
+    # a central shift keeps every commutator, but the table's right-hand
+    # side of [C_0, R_0] contains B once
+    shifted = reduce_mod_I(g.table[key] + one)
+    bad = dataclasses.replace(g, table={**g.table, key: shifted})
+    rep = relation_table_check(bad)
+    assert rep["pass"] is False
+    assert rep["witnesses"] == [{"bracket": "[('C', 0), ('R', 0)]", "difference": "-1"}]
+
+
+def test_capelli_suite_names_a_non_central_coefficient(monkeypatch):
+    import wgl.walgebra
+
+    orig = wgl.walgebra.noncomm_det
+
+    def bumped(A, mode="row"):
+        det = orig(A, mode)
+        # add e_{12} to the z^1 coefficient, which is w_1 for N = 2
+        return det + SeriesElem(det.alg, {2: det.alg.gen(Box(1, 1), Box(2, 1))})
+
+    monkeypatch.setattr(wgl.walgebra, "noncomm_det", bumped)
+    rep = capelli_suite(2)
+    assert rep["pass"] is False
+    assert [c["central"] for c in rep["coefficients"]] == [False, True]
+    assert rep["witnesses"] == [{"k": 1, "element": rep["coefficients"][0]["text"]}]
