@@ -23,7 +23,6 @@ import sys
 from .pyramid import Partition, half_str, parse_half2
 from .uea import Algebra, element_from_json
 from .walgebra import (
-    LOperator,
     WGenerators,
     build_L,
     capelli_suite,

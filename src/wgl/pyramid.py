@@ -20,9 +20,17 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 def parse_half2(text: str) -> int:
     """Half-integer text such as "-8" or "-15/2" as its doubled int;
-    ValueError for any other text."""
+    ValueError for any other text.
+
+    Text with an exponent marker or over 32 characters is refused before
+    `Fraction` sees it, since Fraction expands "1e30000000" digit by digit.
+    """
+    body = text.strip()
+    if len(body) > 32 or "e" in body.lower():
+        raise ValueError(f"{text!r} is not a floor of the form n or n/d "
+                         "with at most 32 characters")
     try:
-        value = Fraction(text.strip())
+        value = Fraction(body)
     except ZeroDivisionError as exc:
         raise ValueError(f"{text!r} has a zero denominator") from exc
     if value.denominator not in (1, 2):

@@ -12,21 +12,22 @@ pivot: either the top-exponent coefficient matrix (when it is purely scalar)
 or the scalar part of the z^0 coefficient.  Row/column scaling by scalar
 z-monomials exposes the pivot of matrices (e.g. submatrices of the shifted
 matrix) whose pivot only becomes visible after conjugating by
-diag(z^{x(b)}).  `invert_matrix` is `solve` against the identity, and both
-quasideterminant routes call it.
+diag(z^{x(b)}).  `invert_matrix` is `solve` against the identity.  The
+submatrix route `quasideterminant` makes one solve; its oracle
+`quasideterminant_by_definition` makes one solve and one inversion.
 
 Series and matrix products, inversion, quasideterminants and the Yangian
 identity check take the ring product used on coefficients as `mul` (the
 U(g) product by default), so the same matrix calculus serves U(g), the
 W-algebra product on M and the opposite product.  Since `solve` and the
 submatrix route only multiply onto partial results, `mul` may also be the
-action of U(g) on M.  Determinants and the mixed inverse identity always
-use the U(g) product.
+action of U(g) on M.  Determinants, the definition route and the mixed
+inverse identity always use the U(g) product.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from typing import Callable, Optional, Sequence, Tuple
 
 from .pyramid import ScalarMatrix, half_str
@@ -106,9 +107,9 @@ class SeriesElem:
         return cls(alg, {}, f2)
 
     @classmethod
-    def from_element(cls, alg: Algebra, elem: UEAElement, exp2: int = 0,
-                     floor2: Optional[int] = None) -> "SeriesElem":
-        return cls(alg, {exp2: elem}, floor2)
+    def from_element(cls, alg: Algebra, elem: UEAElement) -> "SeriesElem":
+        """The exact constant series elem."""
+        return cls(alg, {0: elem})
 
     # -- inspection --------------------------------------------------------
 
@@ -585,74 +586,63 @@ def _deliver(out: SeriesMatrix, f2: Optional[int]) -> SeriesMatrix:
     return out.truncate2(f2)
 
 
-def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
-                     f2: Optional[int] = None, mul: Optional[MulFn] = None,
-                     method: str = "both", inner_row_scale=None,
-                     inner_col_scale=None) -> SeriesMatrix:
-    """Generalized quasideterminant (J1·A^{-1}·I1)^{-1}.
-
-    method 'definition' inverts A and then the sandwich; 'submatrix' uses
-    A_IJ - A_IJc·((A_IcJc)^{-1}·A_IcJ) (unit selectors required, and the
-    inner solve takes the optional scalings); 'both' computes the two and
-    insists they agree on the common region.  The submatrix route runs right
-    to left, every product onto a partial result, so `mul` may be the action
-    of U(g) on M when A_IJ and A_IcJ are reduced.
-
-    Each route runs once, with its working floors derived from the
-    requested doubled floor f and the tops of the factors:
-
-    - definition: A^{-1} to f.  If the sandwich S tops out at z^t with
-      t < 0, inverting S costs 2t of depth, so A^{-1} is recomputed to
-      f + 2t (t is only known after the first inversion); S^{-1} to f.
-    - submatrix: (A_IcJc)^{-1}·A_IcJ to f - top(Q), where Q = A_IJc, and
-      its product with Q to f.
-
-    A route that comes back short of f raises ArithmeticError.
-    """
+def _check_selectors(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix) -> None:
     if A.rows != A.cols:
         raise ValueError("matrix not square")
     if I1.rows != A.rows or J1.cols != A.rows or I1.cols != J1.rows:
         raise ValueError("selector shape mismatch")
 
-    def by_definition():
-        B = invert_matrix(A, f2, mul)
-        S = sandwich(J1, B, I1)
-        t2 = S.max_top2()
-        if f2 is not None and t2 is not None and t2 < 0:
-            B = invert_matrix(A, f2 + 2 * t2, mul)
-            S = sandwich(J1, B, I1)
-        return invert_matrix(S, f2, mul)
 
-    def by_submatrix():
-        rowsI = _selector_indices(I1, by_cols=True)
-        colsJ = _selector_indices(J1, by_cols=False)
-        if rowsI is None or colsJ is None:
-            raise ValueError("submatrix path needs unit selector matrices")
-        compI = [i for i in range(A.rows) if i not in rowsI]
-        compJ = [j for j in range(A.cols) if j not in colsJ]
-        P = A.submatrix(rowsI, colsJ)
-        if not compI:
-            return P
-        Q = A.submatrix(rowsI, compJ)
-        S = solve(A.submatrix(compI, compJ), A.submatrix(compI, colsJ), mul,
-                  None if f2 is None else f2 - (Q.max_top2() or 0),
-                  inner_row_scale, inner_col_scale)
-        return P - Q.matmul(S, mul, f2)
+def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
+                     f2: Optional[int] = None, mul: Optional[MulFn] = None,
+                     row_scale=None, col_scale=None) -> SeriesMatrix:
+    """Generalized quasideterminant (J1·A^{-1}·I1)^{-1}, by the submatrix
+    route A_IJ - A_IJc·((A_IcJc)^{-1}·A_IcJ), where I and J are the indices
+    that the unit selectors I1 and J1 pick.
 
-    if method == "definition":
-        return _deliver(by_definition(), f2)
-    if method == "submatrix":
-        return _deliver(by_submatrix(), f2)
-    if method != "both":
-        raise ValueError(f"unknown method {method!r}")
-    qd = _deliver(by_definition(), f2)
-    qs = _deliver(by_submatrix(), f2)
-    diff = qd.first_diff(qs)
-    if diff is not None:
-        i, j, n2, _ = diff
-        raise ArithmeticError(
-            f"quasideterminant paths disagree at entry ({i + 1},{j + 1}), z^{half_str(n2)}")
-    return qs
+    row_scale / col_scale hold one doubled exponent per row / column of A;
+    the entries on the complements Ic / Jc scale the inner `solve`.  The
+    route runs right to left, every product onto a partial result, so `mul`
+    may be the action of U(g) on M when A_IJ and A_IcJ are reduced.
+
+    The floors are fixed in advance from the requested doubled floor f:
+    (A_IcJc)^{-1}·A_IcJ to f - top(Q), where Q = A_IJc, and its product
+    with Q to f.  A result that comes back short of f raises ArithmeticError.
+    """
+    _check_selectors(A, I1, J1)
+    rowsI = _selector_indices(I1, by_cols=True)
+    colsJ = _selector_indices(J1, by_cols=False)
+    if rowsI is None or colsJ is None:
+        raise ValueError("the submatrix route needs unit selector matrices")
+    compI = [i for i in range(A.rows) if i not in rowsI]
+    compJ = [j for j in range(A.cols) if j not in colsJ]
+    P = A.submatrix(rowsI, colsJ)
+    if not compI:
+        return _deliver(P, f2)
+    Q = A.submatrix(rowsI, compJ)
+    S = solve(A.submatrix(compI, compJ), A.submatrix(compI, colsJ), mul,
+              None if f2 is None else f2 - (Q.max_top2() or 0),
+              None if row_scale is None else [row_scale[i] for i in compI],
+              None if col_scale is None else [col_scale[j] for j in compJ])
+    return _deliver(P - Q.matmul(S, mul, f2), f2)
+
+
+def quasideterminant_by_definition(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
+                                   f2: int, top2: int) -> SeriesMatrix:
+    """(J1·A^{-1}·I1)^{-1} as defined, in the U(g) product: the oracle for
+    `quasideterminant`.
+
+    top2 is the doubled top exponent of the result, so the sandwich
+    S = J1·A^{-1}·I1 tops out at z^{-top2/2}, and its inverse to f2 needs S
+    to f2 - 2·top2.  One solve gives X = A^{-1}·I1 to f2 - 2·max(0, top2),
+    and S = J1·X is inverted to f2.  A top2 below the true top leaves S too
+    short: the floors propagate, and the result raises ArithmeticError.
+    """
+    _check_selectors(A, I1, J1)
+    alg = A.alg
+    X = solve(A, SeriesMatrix.from_scalar(alg, I1), None, f2 - 2 * max(0, top2))
+    S = SeriesMatrix.from_scalar(alg, J1).matmul(X)
+    return _deliver(invert_matrix(S, f2), f2)
 
 
 # ---------------------------------------------------------------------------
@@ -748,48 +738,43 @@ class BiSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def to_json_obj(self) -> dict:
-        return {
-            "zfloor": None if self.zfloor2 is None else half_str(self.zfloor2),
-            "wfloor": None if self.wfloor2 is None else half_str(self.wfloor2),
-            "terms": [{"zpow": half_str(m2), "wpow": half_str(n2),
-                       "element": self.terms[(m2, n2)].to_json_obj()}
-                      for (m2, n2) in sorted(self.terms, reverse=True)],
-        }
+
+def _identity_grid(n: int, sides):
+    """Compare sides(i, j, h, k) = (lhs, rhs), two BiSeries, over every index
+    quadruple.  Returns (ok, witnesses); a witness records the quadruple,
+    the exponent pair and the coefficient difference, and the walk stops at
+    _MAX_WITNESSES of them."""
+    witnesses = []
+    for i, j, h, k in product(range(n), repeat=4):
+        lhs, rhs = sides(i, j, h, k)
+        d = lhs.first_diff(rhs)
+        if d is not None:
+            m2, n2, diff = d
+            witnesses.append({
+                "quadruple": (i + 1, j + 1, h + 1, k + 1),
+                "zpow": half_str(m2), "wpow": half_str(n2),
+                "difference": diff.to_text(),
+            })
+            if len(witnesses) >= _MAX_WITNESSES:
+                return False, witnesses
+    return not witnesses, witnesses
 
 
 def yangian_identity_check(A: SeriesMatrix, mul: Optional[MulFn] = None):
-    """(z-w)[A_ij(z), A_hk(w)] = A_hj(w)A_ik(z) - A_hj(z)A_ik(w), all quadruples.
-
-    Returns (ok, witnesses); a witness records the quadruple, the exponent
-    pair, and the offending coefficient difference.
-    """
+    """(z-w)[A_ij(z), A_hk(w)] = A_hj(w)A_ik(z) - A_hj(z)A_ik(w), all
+    quadruples; returns (ok, witnesses) from `_identity_grid`."""
     if A.rows != A.cols:
         raise ValueError("matrix not square")
-    n = A.rows
+    a = A.data
     cached = _MulCache(mul)
-    witnesses = []
-    for i in range(n):
-        for j in range(n):
-            a = A.data[i][j]
-            for h in range(n):
-                for k in range(n):
-                    b = A.data[h][k]
-                    lhs = BiSeries.commutator_grid(a, b, cached).z_minus_w()
-                    rhs = (BiSeries.product_grid(A.data[i][k], A.data[h][j],
-                                                 cached, swap=True)
-                           - BiSeries.product_grid(A.data[h][j], A.data[i][k], cached))
-                    d = lhs.first_diff(rhs)
-                    if d is not None:
-                        m2, n2, diff = d
-                        witnesses.append({
-                            "quadruple": (i + 1, j + 1, h + 1, k + 1),
-                            "zpow": half_str(m2), "wpow": half_str(n2),
-                            "difference": diff.to_text(),
-                        })
-                        if len(witnesses) >= _MAX_WITNESSES:
-                            return False, witnesses
-    return not witnesses, witnesses
+
+    def sides(i, j, h, k):
+        lhs = BiSeries.commutator_grid(a[i][j], a[h][k], cached).z_minus_w()
+        rhs = (BiSeries.product_grid(a[i][k], a[h][j], cached, swap=True)
+               - BiSeries.product_grid(a[h][j], a[i][k], cached))
+        return lhs, rhs
+
+    return _identity_grid(A.rows, sides)
 
 
 def inverse_mixed_identity_check(A: SeriesMatrix, Ainv: SeriesMatrix):
@@ -798,32 +783,19 @@ def inverse_mixed_identity_check(A: SeriesMatrix, Ainv: SeriesMatrix):
     RHS = -delta_hj sum_t A_it(z)(A^{-1})_tk(w) + delta_ik sum_t (A^{-1})_ht(w)A_tj(z).
     """
     n = A.rows
+    a, b = A.data, Ainv.data
     cached = _MulCache(_default_mul)
-    witnesses = []
     zero = BiSeries(A.alg, {})
-    for i in range(n):
-        for j in range(n):
-            for h in range(n):
-                for k in range(n):
-                    lhs = BiSeries.commutator_grid(A.data[i][j], Ainv.data[h][k],
-                                                   cached).z_minus_w()
-                    rhs = zero
-                    if h == j:
-                        for t in range(n):
-                            rhs = rhs - BiSeries.product_grid(
-                                A.data[i][t], Ainv.data[t][k], cached)
-                    if i == k:
-                        for t in range(n):
-                            rhs = rhs + BiSeries.product_grid(
-                                A.data[t][j], Ainv.data[h][t], cached, swap=True)
-                    d = lhs.first_diff(rhs)
-                    if d is not None:
-                        m2, n2, diff = d
-                        witnesses.append({
-                            "quadruple": (i + 1, j + 1, h + 1, k + 1),
-                            "zpow": half_str(m2), "wpow": half_str(n2),
-                            "difference": diff.to_text(),
-                        })
-                        if len(witnesses) >= _MAX_WITNESSES:
-                            return False, witnesses
-    return not witnesses, witnesses
+
+    def sides(i, j, h, k):
+        lhs = BiSeries.commutator_grid(a[i][j], b[h][k], cached).z_minus_w()
+        rhs = zero
+        if h == j:
+            for t in range(n):
+                rhs = rhs - BiSeries.product_grid(a[i][t], b[t][k], cached)
+        if i == k:
+            for t in range(n):
+                rhs = rhs + BiSeries.product_grid(a[t][j], b[h][t], cached, swap=True)
+        return lhs, rhs
+
+    return _identity_grid(n, sides)

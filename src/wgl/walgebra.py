@@ -25,13 +25,14 @@ None when the computation is exact (no truncation).
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .pyramid import (
     Box,
     Partition,
     ScalarMatrix,
     box_position,
+    boxes,
     half_str,
     shift_matrix,
     structure_matrices,
@@ -55,6 +56,7 @@ from .series import (
     invert_matrix,
     noncomm_det,
     quasideterminant,
+    quasideterminant_by_definition,
     yangian_identity_check,
 )
 
@@ -164,16 +166,17 @@ def build_shifted_matrix(p: Partition) -> SeriesMatrix:
     return SeriesMatrix(alg, rows)
 
 
-def _inner_scales(p: Partition, row_boxes: Sequence[Box], col_boxes: Sequence[Box]):
-    """Row and column scalings, as doubled exponents, that expose a scalar
-    pivot in the complement submatrix.
+def _inner_scales(p: Partition):
+    """Row and column scalings of the shifted matrix, one doubled exponent
+    per box, that expose a scalar pivot in its complement submatrix.
 
     Conjugating by diag(z^{x(b)}) turns the z-diagonal and the unit
     subdiagonal of the shifted matrix into a single invertible z^0 block
     while every remaining entry strictly decays; the extra -1 on the row
     side shifts the whole product by z^{-1} so the block lands at z^0.
     """
-    return [-2 - x_coord(p, b) for b in row_boxes], [x_coord(p, b) for b in col_boxes]
+    xs = [x_coord(p, b) for b in boxes(p)]
+    return [-2 - x for x in xs], xs
 
 
 @dataclass
@@ -236,17 +239,9 @@ def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOper
     p1, r1 = p.parts[0], p.r1
     f2 = None if p.r == r1 and f2 is None else _floor2_for(p, f2)
     A = build_shifted_matrix(p)
-    pos = box_position(p)
-    rs = cs = None
-    if f2 is not None:
-        rowsI = [pos[Box(i, 1)] for i in range(1, r1 + 1)]
-        colsJ = [pos[Box(i, p1)] for i in range(1, r1 + 1)]
-        rs, cs = _inner_scales(p, [b for b in A.alg.boxes if pos[b] not in rowsI],
-                               [b for b in A.alg.boxes if pos[b] not in colsJ])
+    rs, cs = (None, None) if f2 is None else _inner_scales(p)
     sm = structure_matrices(p)
-    q = quasideterminant(A, sm["I1"], sm["J1"], f2,
-                         mul=None if lift else act, method="submatrix",
-                         inner_row_scale=rs, inner_col_scale=cs)
+    q = quasideterminant(A, sm["I1"], sm["J1"], f2, None if lift else act, rs, cs)
     lifted = q if lift else None
     reduced = q.map_entries(_reduce_series)
 
@@ -274,7 +269,6 @@ def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOper
 def _weighted_E(alg: Algebra) -> SeriesMatrix:
     """T with entry (a,b) = z^{deg(e_{b,a}) - 1} e_{b,a}; 1 + T is the
     weighted matrix whose corner quasideterminant expands the identity."""
-    pos = box_position(alg.partition)
     rows = []
     for a in alg.boxes:
         row = []
@@ -304,19 +298,14 @@ def main_lemma_sides(p: Partition, f2: Optional[int] = None):
         raise ValueError(f"floor must be at most -p1 = {-p1}")
     f2w = f2 - max(0, 2 * (p1 - 2))
     pos = box_position(p)
-    rowsI = [pos[Box(i, 1)] for i in range(1, r1 + 1)]
     rowsJ = [pos[Box(i, p1)] for i in range(1, r1 + 1)]
     negT = -_weighted_E(alg)
     lmax = (-f2w) // 2 + 2 * p1 + 4
 
-    # J1·(sum_l (-T)^l)·(I1·1), every term reduced: the seed is the reduced
-    # identity and each product is the action on M
-    zero_row = [SeriesElem.zero(alg, f2w) for _ in range(r1)]
-    one = SeriesMatrix.from_scalar(alg, ScalarMatrix.identity(r1)).map_entries(_reduce_series)
-    data = [list(zero_row) for _ in range(alg.N)]
-    for n, i in enumerate(rowsI):
-        data[i] = list(one.data[n])
-    acc = geometric_series(negT, SeriesMatrix(alg, data), act, f2w, lmax)
+    # J1·(sum_l (-T)^l)·(I1·1), every term reduced: the scalar seed I1 is
+    # already reduced and each product is the action on M
+    seed = SeriesMatrix.from_scalar(alg, structure_matrices(p)["I1"])
+    acc = geometric_series(negT, seed, act, f2w, lmax)
     Y0 = SeriesMatrix(alg, [acc.data[j] for j in rowsJ])
 
     t2 = Y0.max_top2()
@@ -510,7 +499,6 @@ def rho_det_identities(N: int) -> dict:
         raise ValueError(f"N = {N} outside 1..{_MAX_N}")
     p = Partition((N,))
     alg = Algebra(p)
-    pos = box_position(p)
     results = []
     witnesses = []
 
@@ -562,18 +550,23 @@ def rho_det_identities(N: int) -> dict:
     sm = structure_matrices(p)
     rd = noncomm_det(A, "row")
     cd = noncomm_det(A, "column")
-    qd = quasideterminant(A, sm["I1"], sm["J1"], method="submatrix").data[0][0]
+    qd = quasideterminant(A, sm["I1"], sm["J1"]).data[0][0]
     sign = (-1) ** (N + 1)
     sd = rd if sign == 1 else -rd
     note("rdet(shifted) = cdet(shifted)", rd == cd,
          None if rd == cd else (rd - cd).to_text())
     note("corner quasideterminant = (-1)^(N+1) rdet(shifted)", sd == qd,
          None if sd == qd else (sd - qd).to_text())
-    # the two quasideterminant routes must also agree under truncation
+    # both quasideterminant routes must also agree with it under truncation
     f2 = -12     # z^-6
-    both = quasideterminant(A, sm["I1"], sm["J1"], f2, method="both").data[0][0]
-    note("quasideterminant routes agree at floor -6", qd.agrees_with(both),
-         None)
+    routes = {
+        "submatrix": quasideterminant(A, sm["I1"], sm["J1"], f2),
+        "definition": quasideterminant_by_definition(A, sm["I1"], sm["J1"], f2, qd.top2()),
+    }
+    diffs = {name: q.data[0][0].first_diff2(qd) for name, q in routes.items()}
+    bad = {name: f"z^{half_str(d[0])}: {d[1].to_text()}"
+           for name, d in diffs.items() if d is not None}
+    note("quasideterminant routes agree at floor -6", not bad, bad or None)
 
     # commutator of a matrix entry with an entry of its inverse, expanded
     # into the delta-sum form, for z*1 + E at floor -6
@@ -1153,9 +1146,8 @@ def conjecture_check(p: Partition, g: WGenerators, f2: Optional[int] = None) -> 
     else:
         L = build_L(p, f2)
         sel = ScalarMatrix.from_rows([[int(i == j) for j in range(r1)] for i in range(r)])
-        cand = quasideterminant(M, sel, sel.transpose(), L.floor2, mul=w_product,
-                                method="submatrix",
-                                inner_row_scale=[-2 * qa for qa in p.parts[r1:]])
+        cand = quasideterminant(M, sel, sel.transpose(), L.floor2, w_product,
+                                row_scale=[-2 * q for q in p.parts])
 
     witnesses = []
     d = L.reduced.first_diff(cand, L.floor2)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,17 @@ def test_zero_denominator_floor_is_usage_error(capsys, argv):
     # not a ZeroDivisionError traceback, and not a failed check (exit 1)
     code, out, err = run(capsys, *argv, "--floor", "1/0")
     assert (code, out, err) == (2, "", "error: '1/0' has a zero denominator\n")
+
+
+@pytest.mark.parametrize("floor", ["1e5000", "1e30000000", "-1E5", "1" * 33])
+def test_floor_text_is_bounded_before_it_is_expanded(capsys, floor):
+    # Fraction would expand 1e30000000 digit by digit for about a minute
+    start = time.perf_counter()
+    code, out, err = run(capsys, "L", "--partition", "2,1", "--floor", floor)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert err == (f"error: '{floor}' is not a floor of the form n or n/d "
+                   "with at most 32 characters\n")
 
 
 @pytest.mark.parametrize("argv", [

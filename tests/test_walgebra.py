@@ -5,7 +5,14 @@ import pytest
 
 from wgl.pyramid import Box, Partition, box_position, structure_matrices
 from wgl.quotient import act, ad_invariant_witness, reduce_mod_I, w_commutator, w_product
-from wgl.series import SeriesElem, SeriesMatrix, invert_matrix, quasideterminant, solve
+from wgl.series import (
+    SeriesElem,
+    SeriesMatrix,
+    invert_matrix,
+    quasideterminant,
+    quasideterminant_by_definition,
+    solve,
+)
 from wgl.uea import Algebra
 from wgl.walgebra import (
     GeneratorBasis,
@@ -297,12 +304,24 @@ def test_both_quasideterminant_routes_deliver_on_the_first_pass(solve_floors):
     # the principal (3) shifted matrix has a constant-term inner pivot
     p = Partition((3,))
     sm = structure_matrices(p)
-    q = quasideterminant(build_shifted_matrix(p), sm["I1"], sm["J1"],
-                         -12, method="both")
-    # definition: A^{-1}, A^{-1} deeper by the sandwich top, S^{-1};
-    # submatrix: the inner solve
-    assert len(solve_floors) == 4
-    assert q.data[0][0].floor2 == -12
+    A = build_shifted_matrix(p)
+    qs = quasideterminant(A, sm["I1"], sm["J1"], -12)
+    assert qs.max_top2() == 6
+    qd = quasideterminant_by_definition(A, sm["I1"], sm["J1"], -12, 6)
+    # submatrix: the inner solve, below -12 by the top z^1 of Q;
+    # definition: A^{-1}·I1 deeper by twice the top z^3, then the inverse
+    # of the 1x1 sandwich
+    assert solve_floors == [-14, -24, -12]
+    assert qs.data[0][0].floor2 == qd.data[0][0].floor2 == -12
+    assert qd.agrees_with(qs)
+
+
+def test_definition_route_refuses_a_top_that_is_too_low():
+    # top2 = 0 solves A^{-1}·I1 only to -12, 6 short of what z^3 needs
+    p = Partition((3,))
+    sm = structure_matrices(p)
+    with pytest.raises(ArithmeticError, match="cannot reach floor z\\^-6"):
+        quasideterminant_by_definition(build_shifted_matrix(p), sm["I1"], sm["J1"], -12, 0)
 
 
 def _complement(parts, f2):
@@ -317,8 +336,8 @@ def _complement(parts, f2):
     compJ = [n for n in range(p.N) if n not in colsJ]
     rs = cs = None
     if f2 is not None:
-        rs, cs = _inner_scales(p, [b for b in A.alg.boxes if pos[b] in compI],
-                               [b for b in A.alg.boxes if pos[b] in compJ])
+        rows, cols = _inner_scales(p)
+        rs, cs = [rows[n] for n in compI], [cols[n] for n in compJ]
     return A.submatrix(compI, compJ), A.submatrix(compI, colsJ), rs, cs
 
 
@@ -440,3 +459,26 @@ def test_capelli_suite_names_a_non_central_coefficient(monkeypatch):
     assert rep["pass"] is False
     assert [c["central"] for c in rep["coefficients"]] == [False, True]
     assert rep["witnesses"] == [{"k": 1, "element": rep["coefficients"][0]["text"]}]
+
+
+def test_identities_check_names_a_disagreeing_quasideterminant_route(monkeypatch, capsys):
+    import json
+
+    import wgl.walgebra
+    from wgl.cli import main
+
+    orig = wgl.walgebra.quasideterminant_by_definition
+
+    def bumped(A, I1, J1, f2, top2):
+        q = orig(A, I1, J1, f2, top2)
+        # add 1 to the z^-1 coefficient of the 1x1 corner
+        return SeriesMatrix(q.alg, [[q[0, 0] + SeriesElem(q.alg, {-2: q.alg.one()})]])
+
+    monkeypatch.setattr(wgl.walgebra, "quasideterminant_by_definition", bumped)
+    witnesses = [{"identity": "quasideterminant routes agree at floor -6",
+                  "detail": {"definition": "z^-1: 1"}}]
+    rep = rho_det_identities(2)
+    assert rep["pass"] is False and rep["witnesses"] == witnesses
+    code = main(["check", "identities", "--n", "2", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "") and json.loads(out)["witnesses"] == witnesses
