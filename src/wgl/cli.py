@@ -21,6 +21,7 @@ import json
 import sys
 
 from .pyramid import Partition, half_str, parse_half2
+from .quotient import reduce_mod_I
 from .uea import Algebra, element_from_json
 from .walgebra import (
     WGenerators,
@@ -46,10 +47,6 @@ _CHECK_READS = {
     "premet": ("partition", "family"),
     **dict.fromkeys(("main-lemma", "membership", "yangian"), ("partition", "floor")),
 }
-
-
-def _parse_partition(text: str) -> Partition:
-    return Partition.parse(text)
 
 
 def _parse_floor(text):
@@ -210,7 +207,7 @@ def _failed_report(check: str, args, f2, exc: ArithmeticError) -> dict:
 
 
 def _generators_for(args) -> WGenerators:
-    p = _parse_partition(args.partition)
+    p = Partition.parse(args.partition)
     family = getattr(args, "family", None)
     if family is None:
         family = _generating_family(p)
@@ -232,18 +229,30 @@ def _load_candidates(path: str) -> WGenerators:
         p = Partition.parse(part) if isinstance(part, str) \
             else Partition(tuple(part))
         alg = Algebra(p)
+        keys = [(i, j, k) for i in range(1, p.r + 1) for j in range(1, p.r + 1)
+                for k in range(min(p.parts[i - 1], p.parts[j - 1]))]
         table = {}
         for n, entry in enumerate(gens, 1):
             try:
                 key = entry["key"] if "key" in entry else [entry[f] for f in "ijk"]
-                if not isinstance(key, list) or len(key) != 3:
+                if not (isinstance(key, list) and len(key) == 3
+                        and all(type(v) is int for v in key)):
                     raise ValueError(f'"key" must be a list [i, j, k], not {json.dumps(key)}')
-                table[tuple(key)] = element_from_json(alg, entry["element"])
+                key = tuple(key)
+                if key in table:
+                    raise ValueError(f"key {list(key)} is repeated")
+                if key not in keys:
+                    raise ValueError(f"key {list(key)} is not (i, j, k) with 1 <= i, j "
+                                     f"<= {p.r} and 0 <= k < min(p_i, p_j)")
+                table[key] = reduce_mod_I(element_from_json(alg, entry["element"]))
             except (KeyError, ValueError, TypeError) as exc:
                 why = f'missing field "{exc.args[0]}"' if type(exc) is KeyError else exc
                 raise ValueError(f"candidates generator {n}: {why}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed candidates file: {exc}") from exc
+    missing = [key for key in keys if key not in table]
+    if missing:
+        raise ValueError(f"candidates file has no generator with key {list(missing[0])}")
     family = obj.get("family", "candidates")
     return WGenerators(family=family, partition=p, table=table)
 
@@ -253,7 +262,7 @@ def _load_candidates(path: str) -> WGenerators:
 
 
 def _cmd_L(args) -> int:
-    p = _parse_partition(args.partition)
+    p = Partition.parse(args.partition)
     L = build_L(p, _parse_floor(args.floor), lift=True)
     _emit(L.to_json_obj(), args.format, L.to_text)
     return 0
@@ -275,7 +284,7 @@ def _cmd_check(args) -> int:
 
     if args.partition is None:
         raise ValueError(f"check {which} requires --partition")
-    p = _parse_partition(args.partition)
+    p = Partition.parse(args.partition)
     f2 = _parse_floor(args.floor)
 
     try:
@@ -311,7 +320,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    p = _parse_partition(args.partition)
+    p = Partition.parse(args.partition)
     if args.candidates is not None:
         g = _load_candidates(args.candidates)
         if g.partition != p:

@@ -149,7 +149,7 @@ def shift_matrix(p: Partition) -> "ScalarMatrix":
 
 
 def structure_matrices(p: Partition) -> dict:
-    """The constant matrices F, I1, J1, S1 in the box order.
+    """The constant matrices F, I1, J1 in the box order.
 
     F has a 1 in row (i,h+1), column (i,h); I1 selects the columns (i,1) and
     J1 the rows (i,p_1), for i up to the multiplicity of the largest part.
@@ -165,30 +165,8 @@ def structure_matrices(p: Partition) -> dict:
     for i in range(1, r1 + 1):
         I1[pos[Box(i, 1)]][i - 1] = 1
         J1[i - 1][pos[Box(i, p1)]] = 1
-    Fm = ScalarMatrix.from_rows(F)
-    I1m = ScalarMatrix.from_rows(I1)
-    J1m = ScalarMatrix.from_rows(J1)
-    return {"F": Fm, "I1": I1m, "J1": J1m, "S1": I1m @ J1m}
-
-
-def gf_basis(p: Partition) -> dict:
-    """Basis of the centralizer of the nilpotent f, as elements of U(gl_N).
-
-    Returns an ordered map (i,j,k) -> sum_{h=0}^{k} e_{(i, p_i+h-k), (j, h+1)},
-    for 1 <= i,j <= r and 0 <= k <= min(p_i, p_j) - 1.
-    """
-    from .uea import Algebra
-
-    alg = Algebra(p)
-    out = {}
-    for i in range(1, p.r + 1):
-        for j in range(1, p.r + 1):
-            for k in range(min(p.parts[i - 1], p.parts[j - 1])):
-                elem = alg.zero()
-                for h in range(k + 1):
-                    elem = elem + alg.gen(Box(i, p.parts[i - 1] + h - k), Box(j, h + 1))
-                out[(i, j, k)] = elem
-    return out
+    return {"F": ScalarMatrix.from_rows(F), "I1": ScalarMatrix.from_rows(I1),
+            "J1": ScalarMatrix.from_rows(J1)}
 
 
 def _frac(x) -> Union[int, Fraction]:
@@ -244,38 +222,6 @@ class ScalarMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.data))
-
-    def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = [
-            [
-                sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
-        ]
-        return ScalarMatrix(self.rows, other.cols, out)
-
-    def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return ScalarMatrix(
-            self.rows,
-            self.cols,
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
-
-    def __neg__(self) -> "ScalarMatrix":
-        return ScalarMatrix(
-            self.rows, self.cols, [[-x for x in row] for row in self.data]
-        )
-
-    def __sub__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        return self + (-other)
 
     def transpose(self) -> "ScalarMatrix":
         return ScalarMatrix(

@@ -40,19 +40,6 @@ class MElement(UEAElement):
         return {"reduced": True, "terms": super().to_json_obj()}
 
 
-def chi(alg: Algebra, letter) -> int:
-    """Character value (f | e_letter) for a degree->=1 letter."""
-    if isinstance(letter, int):
-        lid = letter
-    else:
-        a, b = letter
-        lid = alg.letter_id[(Box(*a), Box(*b))]
-    if alg.cls[lid] != 2:
-        a, b = alg.letters[lid]
-        raise ValueError(f"letter e[{tuple(a)},{tuple(b)}] is not in the degree->=1 part")
-    return alg.fval[lid]
-
-
 def reduce_mod_I(x: UEAElement) -> MElement:
     """Image of x·1 in M, as the canonical representative.
 
@@ -75,11 +62,6 @@ def reduce_mod_I(x: UEAElement) -> MElement:
         if c:
             out[keep] = out.get(keep, 0) + c
     return MElement(alg, {m: c for m, c in out.items() if c})
-
-
-def is_reduced(x: UEAElement) -> bool:
-    cls = x.alg.cls
-    return all(cls[ell] != 2 for mono in x.terms for ell in mono)
 
 
 def ad_letters(alg: Algebra) -> Tuple[int, ...]:

@@ -22,7 +22,6 @@ way in, multiplies a sum of words onto normal monomials, sharing tails.
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -420,58 +419,26 @@ class UEAElement:
         return self.to_text()
 
 
-# -- text / JSON parsing -------------------------------------------------------
-
-_LETTER_RE = re.compile(
-    r"e\[\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*,\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\]"
-)
+# -- JSON parsing --------------------------------------------------------------
 
 
-def _split_terms(text: str):
-    """Split on top-level + and - (not inside e[...] brackets)."""
-    terms = []
-    sign, buf, depth = 1, [], 0
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and buf and "".join(buf).strip():
-            terms.append((sign, "".join(buf).strip()))
-            sign, buf = (1 if ch == "+" else -1), []
-        elif depth == 0 and ch in "+-" and not "".join(buf).strip():
-            # leading sign of the term
-            sign *= 1 if ch == "+" else -1
-            buf = []
-        else:
-            buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        terms.append((sign, tail))
-    return terms
+def _coeff_from_json(value) -> Coeff:
+    """A JSON coefficient: an int, or "p", "p/q" or decimal text.
 
-
-def parse_element(alg: Algebra, text: str) -> UEAElement:
-    """Parse the element grammar: `coeff*e[(i,h),(j,k)]*...` joined by +/-."""
-    words = []
-    for sign, term in _split_terms(text.strip()):
-        coeff = Fraction(sign)
-        word = []
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in term {term!r}")
-            m = _LETTER_RE.fullmatch(factor)
-            if m:
-                i, h, j, k = map(int, m.groups())
-                word.append(((i, h), (j, k)))
-            else:
-                try:
-                    coeff *= Fraction(factor)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ValueError(f"bad factor {factor!r} in element text") from exc
-        words.append((coeff, word))
-    return alg.normal_form(words)
+    Anything else is refused with a ValueError that quotes it: a float or a
+    bool is no exact coefficient, and text with an exponent marker is
+    refused before `Fraction` expands "1e999999999" digit by digit.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and "e" not in value.lower():
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f'"coeff" {value!r} has a zero denominator') from None
+        except ValueError:
+            pass
+    raise ValueError(f'"coeff" {value!r} is not an integer or "p/q" text')
 
 
 def element_from_json(alg: Algebra, obj) -> UEAElement:
@@ -483,10 +450,6 @@ def element_from_json(alg: Algebra, obj) -> UEAElement:
                          f"\"terms\", not {type(obj).__name__}")
     words = []
     for entry in obj:
-        try:
-            coeff = Fraction(entry["coeff"])
-        except ZeroDivisionError as exc:
-            raise ValueError(f'"coeff" {entry["coeff"]!r} has a zero denominator') from exc
         word = [ (tuple(a), tuple(b)) for a, b in entry["monomial"] ]
-        words.append((coeff, word))
+        words.append((_coeff_from_json(entry["coeff"]), word))
     return alg.normal_form(words)

@@ -119,12 +119,9 @@ def _report(check: str, p: Optional[Partition], f2: Optional[int],
     return rep
 
 
-def _map_series(se: SeriesElem, fn) -> SeriesElem:
-    return SeriesElem(se.alg, {n2: fn(c) for n2, c in se.terms.items()}, se.floor2)
-
-
 def _reduce_series(se: SeriesElem) -> SeriesElem:
-    return _map_series(se, reduce_mod_I)
+    return SeriesElem(se.alg, {n2: reduce_mod_I(c) for n2, c in se.terms.items()},
+                      se.floor2)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +192,6 @@ class LOperator:
     floor2: Optional[int]
     lift: Optional[SeriesMatrix]
     reduced: SeriesMatrix
-
-    @property
-    def size(self) -> int:
-        return self.partition.r1
 
     def to_json_obj(self) -> dict:
         return {
@@ -397,7 +390,7 @@ def yangian_check_L(L: LOperator) -> dict:
     basis ("generators"); the report names the strategy used.
     """
     extras = {"product": "lift"}
-    if L.size == 1:
+    if L.partition.r1 == 1:
         a = L.reduced.data[0][0]
         exps = sorted(a.exponents2(), reverse=True)
         coeffs = {n2: a.coeff2(n2) for n2 in exps}

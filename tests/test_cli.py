@@ -1,11 +1,13 @@
+import contextlib
 import hashlib
 import io
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wgl.cli import _write_json, main
 from wgl.pyramid import Partition
@@ -293,6 +295,14 @@ def _no_key(gens):
     g["key"] = [1, 1]
 
 
+def _coeff(value):
+    return lambda gens: gens[0]["element"]["terms"][0].update(coeff=value)
+
+
+_KEYS = "candidates generator 1: key [1, 1, 7] is not (i, j, k) with 1 <= i, j <= 2 " \
+    "and 0 <= k < min(p_i, p_j)"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda gens: gens[0]["element"]["terms"].append(
         {"coeff": "1", "monomial": [[[9, 9], [1, 1]]]}),
@@ -301,20 +311,102 @@ def _no_key(gens):
      'candidates generator 2: missing field "element"'),
     (_no_key,
      'candidates generator 1: "key" must be a list [i, j, k], not [1, 1]'),
-    (lambda gens: gens[0]["element"]["terms"][0].update(coeff="1/0"),
+    (_coeff("1/0"),
      'candidates generator 1: "coeff" '"'1/0'"' has a zero denominator'),
+    # Fraction would expand the exponent digit by digit for minutes
+    (_coeff("1e999999999"), 'candidates generator 1: "coeff" '
+     "'1e999999999'"' is not an integer or "p/q" text'),
+    # written as the JSON number 1e999, which json reads as inf
+    (_coeff(float("inf")),
+     'candidates generator 1: "coeff" inf is not an integer or "p/q" text'),
+    (_coeff(True),
+     'candidates generator 1: "coeff" True is not an integer or "p/q" text'),
+    (_coeff(0.5),
+     'candidates generator 1: "coeff" 0.5 is not an integer or "p/q" text'),
+    (lambda gens: gens.pop(1),
+     "candidates file has no generator with key [1, 1, 1]"),
+    (lambda gens: gens[0].update(k=7), _KEYS),
+    (lambda gens: gens[0].update(k="0"),
+     'candidates generator 1: "key" must be a list [i, j, k], not [1, 1, "0"]'),
+    (lambda gens: gens.append({"i": 9, "j": 1, "k": 0, "element": []}),
+     _KEYS.replace("1: key [1, 1, 7]", "6: key [9, 1, 0]")),
+    (lambda gens: gens.append(dict(gens[0])),
+     "candidates generator 6: key [1, 1, 0] is repeated"),
 ], ids=["letter-outside-the-pyramid", "no-element", "key-of-length-2",
-        "zero-denominator"])
+        "zero-denominator", "coeff-exponent-text", "coeff-1e999", "coeff-true",
+        "coeff-float", "missing-key", "key-out-of-range", "key-as-text",
+        "unexpected-key", "repeated-key"])
 def test_bad_candidates_entry_is_named(tmp_path, capsys, edit, message):
     code, out, _ = run(capsys, "generators", "--partition", "2,1",
                        "--format", "json")
     obj = json.loads(out)
     edit(obj["generators"])
     path = tmp_path / "candidates.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj).replace("Infinity", "1e999"))
+    start = time.perf_counter()
     code, out, err = run(capsys, "conjecture", "--partition", "2,1",
                          "--floor", "-2", "--candidates", str(path))
+    assert time.perf_counter() - start < 5
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("unit, code", [("-1", 0), ("1", 1)], ids=["lift", "shifted"])
+def test_candidates_given_as_lifts_are_reduced_on_load(tmp_path, capsys, unit, code):
+    # e[(1,1),(1,2)] - 1 lies in the left ideal I, so adding it to w[1,1;0]
+    # keeps its coset in M; adding e[(1,1),(1,2)] + 1 shifts it by 2
+    _, out, _ = run(capsys, "generators", "--partition", "2,1", "--format", "json")
+    obj = json.loads(out)
+    obj["generators"][0]["element"]["terms"] += [
+        {"coeff": "1", "monomial": [[[1, 1], [1, 2]]]}, {"coeff": unit, "monomial": []}]
+    path = tmp_path / "candidates.json"
+    path.write_text(json.dumps(obj))
+    got, out, _ = run(capsys, "conjecture", "--partition", "2,1", "--floor", "-5",
+                      "--candidates", str(path), "--format", "json")
+    rep = json.loads(out)
+    assert (got, rep["pass"]) == (code, code == 0)
+    assert rep["witnesses"] == ([] if code == 0 else
+                                [{"entry": [1, 1], "zpow": "0", "difference": "-2"}])
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=12)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=8), kids, max_size=4)),
+    max_leaves=12)
+
+
+def _set_field(obj, field, value):
+    gen = obj["generators"][0]
+    if field == "element":
+        gen["element"] = value
+    elif field == "key":
+        gen["key"] = value
+    else:
+        gen["element"]["terms"][0][field] = value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["coeff", "monomial", "key", "element"]), _JSON)
+@example("coeff", "1e999999999")
+@example("coeff", float("inf"))
+@example("coeff", True)
+@example("coeff", 0.5)
+@example("key", [1, 1, 7])
+@example("key", [1, 1, "0"])
+@example("monomial", [[[1, 1], [1, 2]]])
+@example("element", "x")
+def test_any_candidates_value_exits_0_1_or_2(field, value):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        main(["generators", "--partition", "2", "--format", "json"])
+    obj = json.loads(sink.getvalue())
+    _set_field(obj, field, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "candidates.json"
+        path.write_text(json.dumps(obj))
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["conjecture", "--partition", "2", "--candidates", str(path)])
+    assert code in (0, 1, 2)
 
 
 def test_candidates_partition_mismatch(tmp_path, capsys):

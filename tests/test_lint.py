@@ -1,17 +1,28 @@
-"""No unused import and no unused function local in the package.
+"""No unused import, no unused function local and no uncalled definition in
+the package.
 
 A stdlib `ast` walk, so the check needs no linter.  An import counts as used
 when its name is read anywhere in the module or listed in `__all__`; imports
 from `__future__` are exempt.  A function local is a name bound by a plain
 assignment (`x = ...`, `x: T = ...`) in a function body, and it counts as used
 when the function, nested scopes included, reads it.  Unpacking targets, loop
-variables and `_` are not checked.
+variables and `_` are not checked.  A module-level function or class counts
+as used when some module of the package reads its name, as a name or as an
+attribute, or lists it in `__all__`; `KEEP` names the few that only readers
+outside the package use.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wgl"
+
+# Definitions read only from outside src/wgl, each with its reader.
+KEEP = {
+    "sandwich": "tests/test_acceptance.py, criterion 11",
+    "opposite_mul": "tests/test_acceptance.py, criterion 11",
+    "_floor2": "perfbench/tracer.py, the floor of invert_matrix",
+}
 
 
 def _loads(node: ast.AST) -> set:
@@ -71,18 +82,59 @@ def _unused_locals(tree: ast.Module) -> list:
     return out
 
 
+def _reads(tree: ast.Module) -> set:
+    """Names a module reads, as names or attributes, or lists in `__all__`."""
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return _loads(tree) | attrs | _exported(tree)
+
+
+def _uncalled(trees: dict) -> list:
+    """(module, line, name) of each module-level function or class of the
+    module trees that none of them reads and KEEP does not name."""
+    read = set().union(*map(_reads, trees.values()))
+    return [(mod, node.lineno, node.name) for mod, tree in sorted(trees.items())
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read and node.name not in KEEP]
+
+
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def unused_names() -> list:
     """`file:line what` for every unused import and function local in SRC."""
     out = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for name, tree in _trees().items():
         for line, what in sorted(_unused_imports(tree) + _unused_locals(tree)):
-            out.append(f"{path.name}:{line} {what}")
+            out.append(f"{name}:{line} {what}")
     return out
 
 
 def test_no_unused_imports_or_locals():
     assert unused_names() == []
+
+
+def test_every_definition_has_a_reader():
+    assert _uncalled(_trees()) == []
+
+
+def test_the_walk_sees_an_uncalled_definition():
+    trees = {name: ast.parse(text) for name, text in {
+        "a.py": "__all__ = ['Listed']\n"
+                "class Listed: pass\n"
+                "def helper(): pass\n"
+                "def orphan(): return helper()\n"
+                "def sandwich(): pass\n",
+        "b.py": "import a\n"
+                "def method_only(): pass\n"
+                "def caller(): return a.orphan\n"
+                "class C:\n"
+                "    def method_only(self): pass\n",
+    }.items()}
+    assert _uncalled(trees) == [("b.py", 2, "method_only"), ("b.py", 3, "caller"),
+                                ("b.py", 4, "C")]
 
 
 def test_the_walk_sees_an_unused_import_and_local():

@@ -7,7 +7,6 @@ from wgl.pyramid import (
     ScalarMatrix,
     box_position,
     boxes,
-    gf_basis,
     grading_degree,
     half_str,
     parse_half2,
@@ -48,6 +47,17 @@ def test_parse_half2_returns_an_int_or_raises_value_error(text):
     except ValueError:
         return
     assert type(n2) is int
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), st.lists(st.integers(-2, 9), max_size=4).map(
+    lambda parts: ",".join(map(str, parts)))))
+def test_partition_parse_returns_a_partition_or_raises_value_error(text):
+    try:
+        p = Partition.parse(text)
+    except ValueError:
+        return
+    assert isinstance(p, Partition) and all(type(q) is int for q in p.parts)
 
 
 def test_half_str_renders_doubled_ints():
@@ -130,19 +140,6 @@ def test_structure_matrices_select_ends_of_long_rows():
     assert J1.rows == 1 and J1.cols == 3 and J1[0, 1] == 1
     # F moves along each row: (1,1) -> (1,2)
     assert F[1, 0] == 1 and sum(F[i, j] for i in range(3) for j in range(3)) == 1
-    assert sm["S1"] == I1 @ J1
-
-
-def test_gf_basis_shapes():
-    p = Partition((2, 1))
-    gf = gf_basis(p)
-    assert set(gf) == {(1, 1, 0), (1, 1, 1), (1, 2, 0), (2, 1, 0), (2, 2, 0)}
-    # the depth-0 element for (i,i) is the last box of row i paired with the first
-    from wgl.uea import Algebra
-
-    alg = Algebra(p)
-    assert gf[(1, 1, 0)] == alg.gen(Box(1, 2), Box(1, 1))
-    assert gf[(1, 1, 1)] == alg.gen(Box(1, 1), Box(1, 1)) + alg.gen(Box(1, 2), Box(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +149,6 @@ def test_gf_basis_shapes():
 def test_scalar_matrix_basics():
     m = ScalarMatrix.from_rows([[1, 2], [3, 4]])
     assert m[1, 0] == 3
-    assert ScalarMatrix.identity(2) @ m == m
     assert ScalarMatrix.diag([1, 1]) == ScalarMatrix.identity(2)
     with pytest.raises(ValueError):
         ScalarMatrix(2, 2, [[1, 2], [3]])
