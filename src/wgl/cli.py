@@ -11,7 +11,8 @@ conjecture  rebuild L(z) from a generator table (a named family or a
             candidates file) and compare with the direct construction
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad usage.
-Output is deterministic for a fixed invocation; JSON keys are sorted.
+Output is deterministic for a fixed invocation.  JSON output is streamed,
+with sorted keys, and elements are rendered from their term maps.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import json
 import sys
 
 from .pyramid import Partition, half_str, parse_half2
-from .quotient import reduce_mod_I
-from .uea import Algebra, element_from_json
+from .quotient import MElement, reduce_mod_I
+from .uea import Algebra, UEAElement, element_from_json
 from .walgebra import (
     WGenerators,
     build_L,
@@ -39,6 +40,9 @@ from .walgebra import (
 )
 
 _FAMILIES = ("principal", "rectangular", "minimal")
+# Largest N = p_1 + ... + p_r accepted, checked before U(gl_N) builds its N^2
+# letters; twice the largest N measured, 6 for (3,3).
+_MAX_PARTITION_N = 12
 # The options each check reads besides --format and --seed; it refuses the
 # others rather than run as if they had not been given.
 _CHECK_READS = {
@@ -72,8 +76,8 @@ def _attach_floor(argv):
 
 _encode_str = json.encoder.encode_basestring_ascii
 _SEQ = (list, tuple)
-# Chunks held before a write; a batch of L(z) output is about 350 KB.
-_FLUSH = 4096
+# Characters (all ASCII) held before a write.
+_FLUSH = 1 << 18
 
 
 def _json_key(k) -> str:
@@ -85,79 +89,87 @@ def _json_key(k) -> str:
         f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _int_rows(o, nl: str):
-    """The indented text of a list of int lists, or None for other lists."""
-    if not all(type(r) in _SEQ and all(type(v) is int for v in r) for r in o):
-        return None
-    inner = nl + "  "
-    sep = "," + inner + "  "
-    rows = [f"[{sep[1:]}{sep.join(map(str, r))}{inner}]" if r else "[]"
-            for r in o]
-    return f"[{inner}{(',' + inner).join(rows)}{nl}]"
-
-
 def _write_json(obj, fh) -> None:
-    """Write json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n".
+    """Write json.dumps(obj, indent=2, sort_keys=True, default=d) + "\n", where
+    d maps an element to its to_json_obj() and any other leaf to str.
 
-    The stdlib encoder drops to its pure-Python generators whenever indent is
-    set and joins every chunk before returning.  This one appends to a list
-    that goes to fh every _FLUSH chunks, and renders each list of int lists
-    (a monomial letter, shared per algebra) once per object and depth.
+    Unlike the stdlib encoder this writes to fh every _FLUSH characters, and
+    renders an element straight from its term map: a text per term from
+    `sorted_terms()` and per letter, once per algebra and depth.
     """
     out = []
-    memo = {}
+    size = 0
+    letters = {}
+
+    def put(text):
+        nonlocal size
+        out.append(text)
+        size += len(text)
+        if size >= _FLUSH:
+            fh.write("".join(out))
+            out.clear()
+            size = 0
+
+    def terms(x, nl):
+        if not x.terms:
+            put("[]")
+            return
+        i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
+        text = letters.get((x.alg, nl))
+        if text is None:
+            text = letters[x.alg, nl] = tuple(
+                json.dumps(ab, indent=2).replace("\n", i3) for ab in x.alg.letter_json)
+        sep = "[" + i1
+        for mono, c in x.sorted_terms():
+            body = f"[{i3}{(',' + i3).join(map(text.__getitem__, mono))}{i2}]" \
+                if mono else "[]"
+            put(f'{sep}{{{i2}"coeff": "{c!s}",{i2}"monomial": {body}{i1}}}')
+            sep = "," + i1
+        put(nl + "]")
 
     def enc(o, nl):
         if isinstance(o, str):
-            out.append(_encode_str(o))
+            put(_encode_str(o))
         elif o is None:
-            out.append("null")
+            put("null")
         elif o is True:
-            out.append("true")
+            put("true")
         elif o is False:
-            out.append("false")
+            put("false")
         elif isinstance(o, int):
-            out.append(int.__repr__(o))
+            put(int.__repr__(o))
         elif isinstance(o, float):
-            out.append(json.dumps(o))
+            put(json.dumps(o))
+        elif isinstance(o, MElement):
+            put(f'{{{nl}  "reduced": true,{nl}  "terms": ')
+            terms(o, nl + "  ")
+            put(nl + "}")
+        elif isinstance(o, UEAElement):
+            terms(o, nl)
         elif isinstance(o, _SEQ):
             if not o:
-                out.append("[]")
-                return
-            # The tree outlives this call, so an id names one object here.
-            key = (nl, id(o))
-            text = memo.get(key)
-            if text is None:
-                text = _int_rows(o, nl)
-                if text is not None:
-                    memo[key] = text
-            if text is not None:
-                out.append(text)
+                put("[]")
                 return
             inner = nl + "  "
             sep = "[" + inner
             for v in o:
-                out.append(sep)
+                put(sep)
                 enc(v, inner)
                 sep = "," + inner
-            out.append(nl + "]")
+            put(nl + "]")
         elif isinstance(o, dict):
             if not o:
-                out.append("{}")
+                put("{}")
                 return
             inner = nl + "  "
             sep = "{" + inner
             for k, v in sorted(o.items()):
-                out.append(f"{sep}{_encode_str(_json_key(k))}: ")
+                put(f"{sep}{_encode_str(_json_key(k))}: ")
                 enc(v, inner)
                 sep = "," + inner
-            out.append(nl + "}")
+            put(nl + "}")
         else:
             enc(str(o), nl)
-            return
-        if len(out) >= _FLUSH:
-            fh.write("".join(out))
-            out.clear()
 
     enc(obj, "\n")
     out.append("\n")
@@ -206,8 +218,17 @@ def _failed_report(check: str, args, f2, exc: ArithmeticError) -> dict:
     return rep
 
 
+def _partition(spec) -> Partition:
+    """A --partition text or a candidates list of parts, checked for size."""
+    p = Partition.parse(spec) if isinstance(spec, str) else Partition(tuple(spec or ()))
+    if p.N > _MAX_PARTITION_N:
+        raise ValueError(f"partition {p} has N = {p.N}; the largest N "
+                         f"accepted is {_MAX_PARTITION_N}")
+    return p
+
+
 def _generators_for(args) -> WGenerators:
-    p = Partition.parse(args.partition)
+    p = _partition(args.partition)
     family = getattr(args, "family", None)
     if family is None:
         family = _generating_family(p)
@@ -225,9 +246,7 @@ def _load_candidates(path: str) -> WGenerators:
     if not isinstance(gens, list) or not all(isinstance(e, dict) for e in gens):
         raise ValueError("candidates generators must be a list of objects")
     try:
-        part = obj["partition"]
-        p = Partition.parse(part) if isinstance(part, str) \
-            else Partition(tuple(part))
+        p = _partition(obj["partition"])
         alg = Algebra(p)
         keys = [(i, j, k) for i in range(1, p.r + 1) for j in range(1, p.r + 1)
                 for k in range(min(p.parts[i - 1], p.parts[j - 1]))]
@@ -262,7 +281,7 @@ def _load_candidates(path: str) -> WGenerators:
 
 
 def _cmd_L(args) -> int:
-    p = Partition.parse(args.partition)
+    p = _partition(args.partition)
     L = build_L(p, _parse_floor(args.floor), lift=True)
     _emit(L.to_json_obj(), args.format, L.to_text)
     return 0
@@ -284,7 +303,7 @@ def _cmd_check(args) -> int:
 
     if args.partition is None:
         raise ValueError(f"check {which} requires --partition")
-    p = Partition.parse(args.partition)
+    p = _partition(args.partition)
     f2 = _parse_floor(args.floor)
 
     try:
@@ -320,7 +339,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    p = Partition.parse(args.partition)
+    p = _partition(args.partition)
     if args.candidates is not None:
         g = _load_candidates(args.candidates)
         if g.partition != p:

@@ -63,7 +63,7 @@ class Partition:
         if not parts:
             raise ValueError("partition must have at least one part")
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")

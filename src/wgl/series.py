@@ -265,7 +265,7 @@ class SeriesElem:
     def to_json_obj(self) -> dict:
         return {
             "floor": None if self.floor2 is None else half_str(self.floor2),
-            "terms": [{"zpow": half_str(n2), "element": self.terms[n2].to_json_obj()}
+            "terms": [{"zpow": half_str(n2), "element": self.terms[n2]}
                       for n2 in self.exponents2()],
         }
 

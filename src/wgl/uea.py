@@ -126,7 +126,8 @@ class Algebra:
 
     def _lid(self, a, b) -> int:
         lid = self.letter_id.get((Box(*a), Box(*b)))
-        if lid is None:
+        # True and 1.0 would find the letter of 1: box indices are ints
+        if lid is None or not all(type(v) is int for v in (*a, *b)):
             raise ValueError(f"no generator e[{tuple(a)},{tuple(b)}] for partition {self.partition}")
         return lid
 

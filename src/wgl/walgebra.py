@@ -465,7 +465,7 @@ def capelli_suite(N: int) -> dict:
     for k in range(1, N + 1):
         zk = det.coeff2(2 * (N - k))
         central = zk.is_central()
-        coeffs.append({"k": k, "element": zk.to_json_obj(),
+        coeffs.append({"k": k, "element": zk,
                        "text": zk.to_text(), "central": central})
         if not central:
             witnesses.append({"k": k, "element": zk.to_text()})
@@ -620,7 +620,7 @@ class WGenerators:
             "family": self.family,
             "partition": str(self.partition),
             "generators": [
-                {"i": i, "j": j, "k": k, "element": self.table[(i, j, k)].to_json_obj()}
+                {"i": i, "j": j, "k": k, "element": self.table[(i, j, k)]}
                 for (i, j, k) in self.sorted_keys()
             ],
         }

@@ -253,18 +253,23 @@ def _kazhdan_suite():
     return True
 
 
+def _dumps(obj) -> str:
+    """The JSON text of a to_json_obj() tree, whose element leaves stay objects."""
+    return json.dumps(obj, sort_keys=True, default=lambda e: e.to_json_obj())
+
+
 def _truncation_stability_suite():
     for q in ((2, 1), (3, 1)):
         deep = build_L(Partition(q), -20)
         shallow = build_L(Partition(q), -16)
-        a = json.dumps(deep.reduced.truncate2(-16).to_json_obj(), sort_keys=True)
-        b = json.dumps(shallow.reduced.to_json_obj(), sort_keys=True)
+        a = _dumps(deep.reduced.truncate2(-16).to_json_obj())
+        b = _dumps(shallow.reduced.to_json_obj())
         if a != b:
             return False
     gl2 = gl_algebra(2)
     A = z_plus_E(gl2)
-    a = json.dumps(invert_matrix(A, -8).truncate2(-6).to_json_obj(), sort_keys=True)
-    b = json.dumps(invert_matrix(A, -6).to_json_obj(), sort_keys=True)
+    a = _dumps(invert_matrix(A, -8).truncate2(-6).to_json_obj())
+    b = _dumps(invert_matrix(A, -6).to_json_obj())
     return a == b
 
 

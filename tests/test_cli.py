@@ -11,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from wgl.cli import _write_json, main
 from wgl.pyramid import Partition
+from wgl.quotient import reduce_mod_I
+from wgl.uea import Algebra, UEAElement, _ncoeff
 from wgl.walgebra import build_L
 
 
@@ -111,6 +113,31 @@ def test_output_is_deterministic(capsys):
 def test_bad_partition_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "yangian", "--partition", "2,x")
     assert code == 2 and "bad partition" in err
+
+
+@pytest.mark.parametrize("command", ["L", "generators", "relations", "conjecture"])
+def test_missing_partition_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command)
+    assert (code, out, err) == (2, "", "error: partition must have at least one part\n")
+
+
+def test_oversized_partition_is_refused_before_any_algebra(monkeypatch, tmp_path, capsys):
+    # N = 2000 would build N^2 = 4 M letters; fail loudly instead if one is built
+    def build(alg, partition):
+        raise AssertionError(f"built the algebra of {partition}")
+
+    monkeypatch.setattr(Algebra, "_init", build)
+    path = tmp_path / "candidates.json"
+    path.write_text(json.dumps({"partition": [2000], "generators": []}))
+    message = "error: partition 2000 has N = 2000; the largest N accepted is 12\n"
+    for argv in (["L", "--partition", "2000"],
+                 ["check", "yangian", "--partition", "1," * 12 + "1"],
+                 ["conjecture", "--partition", "2,1", "--candidates", str(path)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "") and err.startswith("error: partition ")
+    assert err == message
 
 
 def test_family_partition_mismatch_is_usage_error(capsys):
@@ -289,14 +316,14 @@ def test_malformed_candidates_is_usage_error(tmp_path, capsys, content):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def _no_key(gens):
-    g = gens[0]
+def _no_key(obj):
+    g = obj["generators"][0]
     del g["i"], g["j"], g["k"]
     g["key"] = [1, 1]
 
 
 def _coeff(value):
-    return lambda gens: gens[0]["element"]["terms"][0].update(coeff=value)
+    return lambda obj: obj["generators"][0]["element"]["terms"][0].update(coeff=value)
 
 
 _KEYS = "candidates generator 1: key [1, 1, 7] is not (i, j, k) with 1 <= i, j <= 2 " \
@@ -304,10 +331,10 @@ _KEYS = "candidates generator 1: key [1, 1, 7] is not (i, j, k) with 1 <= i, j <
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda gens: gens[0]["element"]["terms"].append(
+    (lambda obj: obj["generators"][0]["element"]["terms"].append(
         {"coeff": "1", "monomial": [[[9, 9], [1, 1]]]}),
      "candidates generator 1: no generator e[(9, 9),(1, 1)] for partition 2,1"),
-    (lambda gens: gens[1].pop("element"),
+    (lambda obj: obj["generators"][1].pop("element"),
      'candidates generator 2: missing field "element"'),
     (_no_key,
      'candidates generator 1: "key" must be a list [i, j, k], not [1, 1]'),
@@ -323,24 +350,29 @@ _KEYS = "candidates generator 1: key [1, 1, 7] is not (i, j, k) with 1 <= i, j <
      'candidates generator 1: "coeff" True is not an integer or "p/q" text'),
     (_coeff(0.5),
      'candidates generator 1: "coeff" 0.5 is not an integer or "p/q" text'),
-    (lambda gens: gens.pop(1),
+    (lambda obj: obj["generators"].pop(1),
      "candidates file has no generator with key [1, 1, 1]"),
-    (lambda gens: gens[0].update(k=7), _KEYS),
-    (lambda gens: gens[0].update(k="0"),
+    (lambda obj: obj["generators"][0].update(k=7), _KEYS),
+    (lambda obj: obj["generators"][0].update(k="0"),
      'candidates generator 1: "key" must be a list [i, j, k], not [1, 1, "0"]'),
-    (lambda gens: gens.append({"i": 9, "j": 1, "k": 0, "element": []}),
+    (lambda obj: obj["generators"].append({"i": 9, "j": 1, "k": 0, "element": []}),
      _KEYS.replace("1: key [1, 1, 7]", "6: key [9, 1, 0]")),
-    (lambda gens: gens.append(dict(gens[0])),
+    (lambda obj: obj["generators"].append(dict(obj["generators"][0])),
      "candidates generator 6: key [1, 1, 0] is repeated"),
+    (lambda obj: obj["generators"][0]["element"]["terms"][0].update(
+        monomial=[[[True, 1.0], [1, 1]]]),
+     "candidates generator 1: no generator e[(True, 1.0),(1, 1)] for partition 2,1"),
+    (lambda obj: obj.update(partition=[True]),
+     "parts must be positive integers, got True"),
 ], ids=["letter-outside-the-pyramid", "no-element", "key-of-length-2",
         "zero-denominator", "coeff-exponent-text", "coeff-1e999", "coeff-true",
         "coeff-float", "missing-key", "key-out-of-range", "key-as-text",
-        "unexpected-key", "repeated-key"])
+        "unexpected-key", "repeated-key", "bool-box-index", "bool-partition-part"])
 def test_bad_candidates_entry_is_named(tmp_path, capsys, edit, message):
     code, out, _ = run(capsys, "generators", "--partition", "2,1",
                        "--format", "json")
     obj = json.loads(out)
-    edit(obj["generators"])
+    edit(obj)
     path = tmp_path / "candidates.json"
     path.write_text(json.dumps(obj).replace("Infinity", "1e999"))
     start = time.perf_counter()
@@ -375,6 +407,12 @@ _JSON = st.recursive(
     max_leaves=12)
 
 
+# letter-shaped monomials whose box indices may be bools or floats
+_MONOMIALS = st.lists(st.lists(st.lists(
+    st.one_of(st.integers(0, 3), st.booleans(), st.floats()), max_size=3),
+    max_size=3), max_size=2)
+
+
 def _set_field(obj, field, value):
     gen = obj["generators"][0]
     if field == "element":
@@ -386,7 +424,8 @@ def _set_field(obj, field, value):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from(["coeff", "monomial", "key", "element"]), _JSON)
+@given(st.sampled_from(["coeff", "monomial", "key", "element"]),
+       st.one_of(_JSON, _MONOMIALS))
 @example("coeff", "1e999999999")
 @example("coeff", float("inf"))
 @example("coeff", True)
@@ -394,6 +433,8 @@ def _set_field(obj, field, value):
 @example("key", [1, 1, 7])
 @example("key", [1, 1, "0"])
 @example("monomial", [[[1, 1], [1, 2]]])
+@example("monomial", [[[True, 1], [1, 2]]])
+@example("monomial", [[[1.0, 1], [1, 2]]])
 @example("element", "x")
 def test_any_candidates_value_exits_0_1_or_2(field, value):
     sink = io.StringIO()
@@ -472,19 +513,30 @@ def test_stdout_matches_the_reference_hash(capsys, tmp_path, argv):
 # JSON rendering
 
 
+def _default(o):
+    return o.to_json_obj() if isinstance(o, UEAElement) else str(o)
+
+
 def _stdlib_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_default) + "\n"
 
 
+_ALG = Algebra(Partition((2, 1)))
+# PBW monomials are nondecreasing in letter id; () is the unit
+_MONO = st.lists(st.integers(0, len(_ALG.letters) - 1), max_size=3).map(
+    lambda ids: tuple(sorted(ids)))
+_COEFF = st.one_of(st.integers(), st.fractions()).filter(bool).map(_ncoeff)
+_UEA = st.dictionaries(_MONO, _COEFF, max_size=4).map(lambda t: UEAElement(_ALG, t))
 _ROWS = st.lists(st.lists(st.integers(), max_size=3), min_size=1, max_size=3)
 _LEAVES = st.one_of(
     st.text(), st.integers(), st.booleans(), st.none(), st.floats(),
     st.fractions(),
     _ROWS, _ROWS.map(lambda rows: tuple(map(tuple, rows))),
-    # one object per example, so it recurs at several depths
-    st.shared(_ROWS, key="rows"),
     st.lists(st.lists(st.one_of(st.booleans(), st.floats(), st.integers()),
                       max_size=2), min_size=1, max_size=2),
+    _UEA, _UEA.map(reduce_mod_I),
+    # one element per example, so its letters recur at several depths
+    st.shared(_UEA, key="element"),
 )
 _TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
     st.lists(kids, max_size=4),
@@ -522,4 +574,5 @@ def test_json_output_is_streamed():
     _write_json(build_L(Partition((2, 1, 1)), -4, lift=True).to_json_obj(), sink)
     total = sum(sink.sizes)
     assert total == 1_167_356
-    assert len(sink.sizes) > 1 and max(sink.sizes) < total // 2
+    # a write holds one batch of about 256 KB and at most one term past it
+    assert len(sink.sizes) > 1 and max(sink.sizes) < 300_000
