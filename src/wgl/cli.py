@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .pyramid import Partition, half_str, parse_half2
+from .pyramid import Partition, parse_half2
 from .quotient import MElement, reduce_mod_I
 from .uea import Algebra, UEAElement, element_from_json
 from .walgebra import (
@@ -37,6 +37,7 @@ from .walgebra import (
     w_membership_check,
     yangian_check_L,
     _generating_family,
+    _report,
 )
 
 _FAMILIES = ("principal", "rectangular", "minimal")
@@ -207,17 +208,6 @@ def _finish(rep: dict, fmt: str) -> int:
     return 0 if rep["pass"] else 1
 
 
-def _failed_report(check: str, args, f2, exc: ArithmeticError) -> dict:
-    rep = {
-        "check": check,
-        "partition": args.partition,
-        "floor": None if f2 is None else half_str(f2),
-        "pass": False,
-        "witnesses": [{"error": str(exc)}],
-    }
-    return rep
-
-
 def _partition(spec) -> Partition:
     """A --partition text or a candidates list of parts, checked for size."""
     p = Partition.parse(spec) if isinstance(spec, str) else Partition(tuple(spec or ()))
@@ -227,9 +217,7 @@ def _partition(spec) -> Partition:
     return p
 
 
-def _generators_for(args) -> WGenerators:
-    p = _partition(args.partition)
-    family = getattr(args, "family", None)
+def _generators_for(p: Partition, family) -> WGenerators:
     if family is None:
         family = _generating_family(p)
         if family is None:
@@ -314,27 +302,28 @@ def _cmd_check(args) -> int:
         elif which == "yangian":
             rep = yangian_check_L(build_L(p, f2))
         elif which == "premet":
-            rep = premet_check(_generators_for(args))
+            rep = premet_check(_generators_for(p, args.family))
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown check {which!r}")
     except ArithmeticError as exc:
-        return _finish(_failed_report(which, args, f2, exc), args.format)
+        rep = _report(which, p, f2, False, [{"error": str(exc)}])
     if args.seed is not None:
         rep["seed"] = args.seed
     return _finish(rep, args.format)
 
 
 def _cmd_generators(args) -> int:
-    g = _generators_for(args)
+    g = _generators_for(_partition(args.partition), args.family)
     _emit(g.to_json_obj(), args.format, g.to_text)
     return 0
 
 
 def _cmd_relations(args) -> int:
+    p = _partition(args.partition)
     try:
-        rep = relation_table_check(_generators_for(args))
+        rep = relation_table_check(_generators_for(p, args.family))
     except ArithmeticError as exc:
-        return _finish(_failed_report("relations", args, None, exc), args.format)
+        rep = _report("relations", p, None, False, [{"error": str(exc)}])
     return _finish(rep, args.format)
 
 
@@ -346,12 +335,12 @@ def _cmd_conjecture(args) -> int:
             raise ValueError(
                 f"candidates file is for {g.partition}, not {p}")
     else:
-        g = _generators_for(args)
+        g = _generators_for(p, args.family)
     f2 = _parse_floor(args.floor)
     try:
         rep = conjecture_check(p, g, f2)
     except ArithmeticError as exc:
-        return _finish(_failed_report("conjecture", args, f2, exc), args.format)
+        rep = _report("conjecture", p, f2, False, [{"error": str(exc)}])
     return _finish(rep, args.format)
 
 

@@ -11,10 +11,11 @@ series sum (-T)^l applied to Y, after normalizing by an invertible scalar
 pivot: either the top-exponent coefficient matrix (when it is purely scalar)
 or the scalar part of the z^0 coefficient.  Row/column scaling by scalar
 z-monomials exposes the pivot of matrices (e.g. submatrices of the shifted
-matrix) whose pivot only becomes visible after conjugating by
-diag(z^{x(b)}).  `invert_matrix` is `solve` against the identity.  The
-submatrix route `quasideterminant` makes one solve; its oracle
-`quasideterminant_by_definition` makes one solve and one inversion.
+matrix, or the weighted matrix 1 + z^{-D}E of the main lemma) whose pivot
+only becomes visible after conjugating by diag(z^{x(b)}).  It holds the
+package's only geometric-series loop.  `invert_matrix` is `solve` against
+the identity.  The submatrix route `quasideterminant` makes one solve; its
+oracle `quasideterminant_by_definition` makes one solve and one inversion.
 
 Series and matrix products, inversion, quasideterminants and the Yangian
 identity check take the ring product used on coefficients as `mul` (the
@@ -23,6 +24,10 @@ W-algebra product on M and the opposite product.  Since `solve` and the
 submatrix route only multiply onto partial results, `mul` may also be the
 action of U(g) on M.  Determinants, the definition route and the mixed
 inverse identity always use the U(g) product.
+
+The two bivariate identity checks add the coefficient grids of lhs - rhs
+for one index quadruple into a single term map and report its lowest
+nonzero coefficient above the floors of the grids.
 """
 
 from __future__ import annotations
@@ -446,29 +451,6 @@ def _detect_pivot(M: SeriesMatrix):
         "scalar z^0 part is invertible (consider row/column scaling)")
 
 
-def geometric_series(negT: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn],
-                     floor2: Optional[int], max_iter: int) -> SeriesMatrix:
-    """sum_l negT^l·Y, each term Y_{l+1} = negT·Y_l truncated at floor2.
-
-    negT is used as given: a dropped term of it could reach a product above
-    floor2 whenever some term of the series has a positive exponent.  floor2
-    None sums exactly, which terminates only when negT acts nilpotently.
-    The sum stops at the first zero term and raises ArithmeticError after
-    max_iter terms.
-
-    Every product multiplies negT onto a partial sum, so with `mul` the
-    action on M and Y reduced, every term stays reduced.  The callers are
-    `solve` and the corner series of `walgebra.main_lemma_sides`.
-    """
-    acc = term = Y.truncate2(floor2)
-    for _ in range(max_iter):
-        term = negT.matmul(term, mul, floor2).truncate2(floor2)
-        if term.is_zero():
-            return acc
-        acc = acc + term
-    raise ArithmeticError(f"geometric series did not terminate in {max_iter} steps")
-
-
 def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
           f2: Optional[int] = None, row_scale=None, col_scale=None) -> SeriesMatrix:
     """A^{-1}·Y to the doubled floor f2, computed right to left.
@@ -480,12 +462,15 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
 
         A^{-1}·Y = Dc·sum_l (-T)^l·(pre·Dr·Y).
 
-    T is kept whole.  With a top-exponent pivot T only has negative
-    exponents, and each term is cut at f2 - max(cs), the depth that Dc
-    needs for floor f2.  A constant-term pivot makes T nilpotent (the exact
-    shapes), and the series is summed untruncated.  Every product but the
-    scalar pivot's multiplies onto a partial result, so `mul` may be the
-    action on M when Y is reduced.
+    T is kept whole: a dropped term of it could reach a product above the
+    cut whenever a term of the series has a positive exponent.  With a
+    top-exponent pivot T only has negative exponents, and each term is cut
+    at f2 - max(cs), the depth that Dc needs for floor f2.  A constant-term
+    pivot makes T nilpotent (the exact shapes), and the series is summed
+    untruncated.  The sum stops at the first zero term, and raises
+    ArithmeticError if a step cap, fixed from the depth in advance, runs
+    out first.  Every product but the scalar pivot's multiplies onto a
+    partial result, so `mul` may be the action on M when Y is reduced.
     """
     if A.rows != A.cols:
         raise ValueError("matrix not square")
@@ -507,7 +492,14 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
     t2 = Y0.max_top2()
     if g2 is not None and t2 is not None:
         steps += max(0, t2 - g2)     # each term lowers the top by at least 1/2
-    S = geometric_series(negT, Y0, mul, g2, steps)
+    S = term = Y0.truncate2(g2)
+    for _ in range(steps):
+        term = negT.matmul(term, mul, g2).truncate2(g2)
+        if term.is_zero():
+            break
+        S = S + term
+    else:
+        raise ArithmeticError(f"geometric series did not terminate in {steps} steps")
     if col_scale is not None:
         S = S.scale_rows(col_scale)
     return S.truncate2(f2)
@@ -646,114 +638,56 @@ def quasideterminant_by_definition(A: SeriesMatrix, I1: ScalarMatrix, J1: Scalar
 
 
 # ---------------------------------------------------------------------------
-# bivariate series and the Yangian-type identity
+# bivariate coefficient grids and the Yangian-type identity
 
 # An identity check stops at this many witnesses.
 _MAX_WITNESSES = 10
 
 
-class BiSeries:
-    """Finitely many coefficients c_{mn} z^{m/2} w^{n/2} above per-variable floors."""
+def _identity_grid(A: SeriesMatrix, mul: MulFn, sides):
+    """Check that a signed sum of coefficient grids vanishes for every index
+    quadruple of A; returns (ok, witnesses).
 
-    __slots__ = ("alg", "terms", "zfloor2", "wfloor2")
-
-    def __init__(self, alg: Algebra, terms: dict,
-                 zfloor2: Optional[int] = None, wfloor2: Optional[int] = None):
-        clean = {}
-        for (m2, n2), c in terms.items():
-            if zfloor2 is not None and m2 < zfloor2:
-                continue
-            if wfloor2 is not None and n2 < wfloor2:
-                continue
-            if not c.is_zero():
-                clean[(m2, n2)] = c
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "zfloor2", zfloor2)
-        object.__setattr__(self, "wfloor2", wfloor2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    @classmethod
-    def product_grid(cls, a: SeriesElem, b: SeriesElem, mul: MulFn,
-                     swap: bool = False) -> "BiSeries":
-        """Coefficient grid of a(z)·b(w) (swap: of b(w)·a(z)); z-exps from a."""
-        terms = {}
-        for m2, ca in a.terms.items():
-            for n2, cb in b.terms.items():
-                p = mul(cb, ca) if swap else mul(ca, cb)
-                if not p.is_zero():
-                    terms[(m2, n2)] = p
-        return cls(a.alg, terms, a.floor2, b.floor2)
-
-    @classmethod
-    def commutator_grid(cls, a: SeriesElem, b: SeriesElem, mul: MulFn) -> "BiSeries":
-        return cls.product_grid(a, b, mul) - cls.product_grid(a, b, mul, swap=True)
-
-    def __add__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms[k] + c if k in terms else c
-        return BiSeries(self.alg, terms,
-                        _add_floor2(self.zfloor2, other.zfloor2),
-                        _add_floor2(self.wfloor2, other.wfloor2))
-
-    def __neg__(self):
-        return BiSeries(self.alg, {k: -c for k, c in self.terms.items()},
-                        self.zfloor2, self.wfloor2)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def z_minus_w(self) -> "BiSeries":
-        """Multiply by (z - w); both floors rise by one."""
-        terms: dict = {}
-        for (m2, n2), c in self.terms.items():
-            k = (m2 + 2, n2)
-            terms[k] = terms[k] + c if k in terms else c
-            k = (m2, n2 + 2)
-            terms[k] = terms[k] - c if k in terms else -c
-        zf = None if self.zfloor2 is None else self.zfloor2 + 2
-        wf = None if self.wfloor2 is None else self.wfloor2 + 2
-        return BiSeries(self.alg, terms, zf, wf)
-
-    def first_diff(self, other: "BiSeries"):
-        zf = _add_floor2(self.zfloor2, other.zfloor2)
-        wf = _add_floor2(self.wfloor2, other.wfloor2)
-        keys = set(self.terms) | set(other.terms)
-        for m2, n2 in sorted(keys):
-            if zf is not None and m2 < zf:
-                continue
-            if wf is not None and n2 < wf:
-                continue
-            d = (self.terms.get((m2, n2), self.alg.zero())
-                 - other.terms.get((m2, n2), self.alg.zero()))
-            if not d.is_zero():
-                return (m2, n2, d)
-        return None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _identity_grid(n: int, sides):
-    """Compare sides(i, j, h, k) = (lhs, rhs), two BiSeries, over every index
-    quadruple.  Returns (ok, witnesses); a witness records the quadruple,
-    the exponent pair and the coefficient difference, and the walk stops at
-    _MAX_WITNESSES of them."""
+    sides(i, j, h, k) lists the grids as (c, a, b, w_first, shift): the
+    coefficients of z^{m/2} w^{n/2} in c·a(z)·b(w), or in c·b(w)·a(z) when
+    w_first, times (z - w) when shift.  One quadruple's grids add into one
+    term map {(m2, n2): {mono: coeff}}.  A grid is known from the floors of
+    a and b up, both one higher after the shift, so the sum is known at and
+    above the highest z and w floors of its grids.  The lowest nonzero
+    coefficient there is a witness: the quadruple, the exponent pair and the
+    coefficient.  The walk stops at _MAX_WITNESSES of them.
+    """
     witnesses = []
-    for i, j, h, k in product(range(n), repeat=4):
-        lhs, rhs = sides(i, j, h, k)
-        d = lhs.first_diff(rhs)
-        if d is not None:
-            m2, n2, diff = d
+    for i, j, h, k in product(range(A.rows), repeat=4):
+        acc: dict = {}
+        zf = wf = None
+        for c, a, b, w_first, shift in sides(i, j, h, k):
+            up = 2 if shift else 0
+            if a.floor2 is not None:
+                zf = _add_floor2(zf, a.floor2 + up)
+            if b.floor2 is not None:
+                wf = _add_floor2(wf, b.floor2 + up)
+            for m2, ca in a.terms.items():
+                for n2, cb in b.terms.items():
+                    p = mul(cb, ca) if w_first else mul(ca, cb)
+                    moves = (((m2 + 2, n2), c), ((m2, n2 + 2), -c)) if shift \
+                        else (((m2, n2), c),)
+                    for key, s in moves:
+                        slot = acc.setdefault(key, {})
+                        for mono, x in p.terms.items():
+                            x = slot.get(mono, 0) + s * x
+                            if x:
+                                slot[mono] = x
+                            else:
+                                del slot[mono]
+        known = [key for key, d in acc.items() if d
+                 and (zf is None or key[0] >= zf) and (wf is None or key[1] >= wf)]
+        if known:
+            m2, n2 = min(known)
             witnesses.append({
                 "quadruple": (i + 1, j + 1, h + 1, k + 1),
                 "zpow": half_str(m2), "wpow": half_str(n2),
-                "difference": diff.to_text(),
+                "difference": UEAElement(A.alg, acc[m2, n2]).to_text(),
             })
             if len(witnesses) >= _MAX_WITNESSES:
                 return False, witnesses
@@ -766,15 +700,12 @@ def yangian_identity_check(A: SeriesMatrix, mul: Optional[MulFn] = None):
     if A.rows != A.cols:
         raise ValueError("matrix not square")
     a = A.data
-    cached = _MulCache(mul)
 
     def sides(i, j, h, k):
-        lhs = BiSeries.commutator_grid(a[i][j], a[h][k], cached).z_minus_w()
-        rhs = (BiSeries.product_grid(a[i][k], a[h][j], cached, swap=True)
-               - BiSeries.product_grid(a[h][j], a[i][k], cached))
-        return lhs, rhs
+        return ((1, a[i][j], a[h][k], False, True), (-1, a[i][j], a[h][k], True, True),
+                (-1, a[i][k], a[h][j], True, False), (1, a[h][j], a[i][k], False, False))
 
-    return _identity_grid(A.rows, sides)
+    return _identity_grid(A, _MulCache(mul), sides)
 
 
 def inverse_mixed_identity_check(A: SeriesMatrix, Ainv: SeriesMatrix):
@@ -784,18 +715,13 @@ def inverse_mixed_identity_check(A: SeriesMatrix, Ainv: SeriesMatrix):
     """
     n = A.rows
     a, b = A.data, Ainv.data
-    cached = _MulCache(_default_mul)
-    zero = BiSeries(A.alg, {})
 
     def sides(i, j, h, k):
-        lhs = BiSeries.commutator_grid(a[i][j], b[h][k], cached).z_minus_w()
-        rhs = zero
+        out = [(1, a[i][j], b[h][k], False, True), (-1, a[i][j], b[h][k], True, True)]
         if h == j:
-            for t in range(n):
-                rhs = rhs - BiSeries.product_grid(a[i][t], b[t][k], cached)
+            out += [(1, a[i][t], b[t][k], False, False) for t in range(n)]
         if i == k:
-            for t in range(n):
-                rhs = rhs + BiSeries.product_grid(a[t][j], b[h][t], cached, swap=True)
-        return lhs, rhs
+            out += [(-1, a[t][j], b[h][t], True, False) for t in range(n)]
+        return out
 
-    return _identity_grid(n, sides)
+    return _identity_grid(A, _MulCache(_default_mul), sides)

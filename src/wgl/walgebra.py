@@ -51,12 +51,12 @@ from .quotient import (
 from .series import (
     SeriesElem,
     SeriesMatrix,
-    geometric_series,
     inverse_mixed_identity_check,
     invert_matrix,
     noncomm_det,
     quasideterminant,
     quasideterminant_by_definition,
+    solve,
     yangian_identity_check,
 )
 
@@ -277,29 +277,25 @@ def main_lemma_sides(p: Partition, f2: Optional[int] = None):
     quotient module: the corner quasideterminant of 1 + z^{-D}E applied to
     the cyclic vector, and z^{-p1} L(z).
 
-    The whole computation runs inside the quotient (the geometric series
-    acts by left multiplication, so reducing after every product is
-    legitimate).  The working floor sits 2*(p1-2) below the requested one:
-    within a chain of weighted-letter factors the z-exponents telescope
-    through the x-coordinates, so a partial product can climb at most p1-2
-    above its eventual exponent.  f2 is the requested doubled floor.
+    The corner series J1·(1 + z^{-D}E)^{-1}·(I1·1) is one `solve` in the
+    action on M (the scalar seed I1 is already reduced).  Entry (a,b) of
+    z^{-D}E is z^{(x(b)-x(a))/2 - 1} e_{b,a}, so the row scale z^{x(a)/2} and
+    the column scale z^{-x(b)/2} make every entry of the weighted letters a
+    pure z^{-1} term: the identity is the top pivot, and `solve` fixes the
+    depth of each term from f2, the requested doubled floor.
     """
     alg = Algebra(p)
     p1, r1 = p.parts[0], p.r1
     f2 = _floor2_for(p, f2)
     if f2 > -2 * p1:
         raise ValueError(f"floor must be at most -p1 = {-p1}")
-    f2w = f2 - max(0, 2 * (p1 - 2))
     pos = box_position(p)
     rowsJ = [pos[Box(i, p1)] for i in range(1, r1 + 1)]
-    negT = -_weighted_E(alg)
-    lmax = (-f2w) // 2 + 2 * p1 + 4
-
-    # J1·(sum_l (-T)^l)·(I1·1), every term reduced: the scalar seed I1 is
-    # already reduced and each product is the action on M
+    xs = [x_coord(p, b) for b in boxes(p)]
+    A = SeriesMatrix.identity(alg, p.N) + _weighted_E(alg)
     seed = SeriesMatrix.from_scalar(alg, structure_matrices(p)["I1"])
-    acc = geometric_series(negT, seed, act, f2w, lmax)
-    Y0 = SeriesMatrix(alg, [acc.data[j] for j in rowsJ])
+    X = solve(A, seed, act, f2, xs, [-x for x in xs])
+    Y0 = SeriesMatrix(alg, [X.data[j] for j in rowsJ])
 
     t2 = Y0.max_top2()
     if t2 is not None and t2 > 0:

@@ -259,11 +259,14 @@ def test_failure_report_renders_the_parsed_floor(capsys, monkeypatch):
         raise ArithmeticError(f"stopped at floor {f2}")
 
     monkeypatch.setattr(wgl.cli, "main_lemma_check", fail)
-    code, out, _ = run(capsys, "check", "main-lemma", "--partition", "2",
-                       "--floor", "-10/2", "--format", "json")
-    rep = json.loads(out)
-    assert (code, rep["floor"], rep["pass"]) == (1, "-5", False)
-    assert rep["witnesses"] == [{"error": "stopped at floor -10"}]
+    # the partition is rendered from the parsed parts too, as in a passing
+    # report, not echoed as typed
+    for spec in ("2", " 2"):
+        code, out, _ = run(capsys, "check", "main-lemma", "--partition", spec,
+                           "--floor", "-10/2", "--format", "json")
+        rep = json.loads(out)
+        assert (code, rep["partition"], rep["floor"], rep["pass"]) == (1, "2", "-5", False)
+        assert rep["witnesses"] == [{"error": "stopped at floor -10"}]
 
 
 def test_floor_equal_to_the_largest_part_is_accepted(capsys):

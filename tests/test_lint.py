@@ -9,7 +9,8 @@ when the function, nested scopes included, reads it.  Unpacking targets, loop
 variables and `_` are not checked.  A module-level function or class counts
 as used when some module of the package reads its name, as a name or as an
 attribute, or lists it in `__all__`; `KEEP` names the few that only readers
-outside the package use.
+outside the package use.  Every string in an `__all__` must name something
+its module defines, assigns or imports at top level.
 """
 
 import ast
@@ -98,6 +99,26 @@ def _uncalled(trees: dict) -> list:
             and node.name not in read and node.name not in KEEP]
 
 
+def _bound(tree: ast.Module) -> set:
+    """Names a module binds at top level: definitions, assignments, imports."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return out
+
+
+def _stale_exports(trees: dict) -> list:
+    """(module, name) of each `__all__` entry its module does not bind."""
+    return [(mod, name) for mod, tree in sorted(trees.items())
+            for name in sorted(_exported(tree) - _bound(tree))]
+
+
 def _trees() -> dict:
     return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
             for path in sorted(SRC.glob("*.py"))}
@@ -118,6 +139,29 @@ def test_no_unused_imports_or_locals():
 
 def test_every_definition_has_a_reader():
     assert _uncalled(_trees()) == []
+
+
+def test_every_export_is_bound():
+    assert _stale_exports(_trees()) == []
+
+
+def test_the_walk_sees_a_stale_export():
+    trees = {name: ast.parse(text) for name, text in {
+        "a.py": "import os.path\n"
+                "from x import y as z\n"
+                "__all__ = ['os', 'z', 'C', 'f', 'K', 'T', 'gone', 'y']\n"
+                "K: int = 1\n"
+                "T, (U, V) = 1, (2, 3)\n"
+                "class C: pass\n"
+                "def f():\n"
+                "    inner = 1\n"
+                "    return inner\n",
+        "b.py": "__all__ = ['inner', 'method']\n"
+                "class D:\n"
+                "    def method(self): pass\n",
+    }.items()}
+    assert _stale_exports(trees) == [("a.py", "gone"), ("a.py", "y"),
+                                     ("b.py", "inner"), ("b.py", "method")]
 
 
 def test_the_walk_sees_an_uncalled_definition():

@@ -2,7 +2,6 @@ import pytest
 
 from wgl.pyramid import Partition, ScalarMatrix
 from wgl.series import (
-    BiSeries,
     SeriesElem,
     SeriesMatrix,
     inverse_mixed_identity_check,
@@ -196,20 +195,83 @@ def test_mixed_commutator_identity_with_inverse(gl2, zE2):
 # bivariate grids
 
 
-def test_biseries_z_minus_w_on_product_grid(gl2):
-    a = SeriesElem(gl2, {2: gl_gen(gl2, 1, 1)})
-    b = SeriesElem(gl2, {0: gl_gen(gl2, 2, 2)})
-    grid = BiSeries.product_grid(a, b, lambda x, y: x * y)
-    assert grid.terms[(2, 0)] == gl_gen(gl2, 1, 1) * gl_gen(gl2, 2, 2)
-    shifted = grid.z_minus_w()
-    assert shifted.terms[(4, 0)] == gl_gen(gl2, 1, 1) * gl_gen(gl2, 2, 2)
-    assert shifted.terms[(2, 2)] == -(gl_gen(gl2, 1, 1) * gl_gen(gl2, 2, 2))
+def _witnesses(wit):
+    return [(w["quadruple"], w["zpow"], w["wpow"], w["difference"]) for w in wit]
 
 
-def test_commutator_grid_vanishes_for_commuting_entries(gl2):
-    a = SeriesElem(gl2, {0: gl_gen(gl2, 1, 1)})
-    b = SeriesElem(gl2, {0: gl_gen(gl2, 2, 2)})
-    assert BiSeries.commutator_grid(a, b, lambda x, y: x * y).is_zero()
+_E11_E21_CUBIC = ("2*e[(2,1),(1,1)] - 2*e[(1,1),(1,1)]*e[(2,1),(1,1)] "
+                  "+ 2*e[(2,1),(1,1)]*e[(2,1),(2,1)] "
+                  "- 2*e[(1,1),(1,1)]*e[(2,1),(1,1)]*e[(2,1),(2,1)] "
+                  "+ 2*e[(1,1),(2,1)]*e[(2,1),(1,1)]*e[(2,1),(1,1)]")
+_E11_E21_CUBIC_NEG = ("-2*e[(2,1),(1,1)] + 2*e[(1,1),(1,1)]*e[(2,1),(1,1)] "
+                      "- 2*e[(2,1),(1,1)]*e[(2,1),(2,1)] "
+                      "+ 2*e[(1,1),(1,1)]*e[(2,1),(1,1)]*e[(2,1),(2,1)] "
+                      "- 2*e[(1,1),(2,1)]*e[(2,1),(1,1)]*e[(2,1),(1,1)]")
+_E12_E22_CUBIC = ("4*e[(1,1),(2,1)]*e[(2,1),(2,1)] "
+                  "- 2*e[(1,1),(1,1)]*e[(1,1),(2,1)]*e[(2,1),(2,1)] "
+                  "+ 2*e[(1,1),(2,1)]*e[(1,1),(2,1)]*e[(2,1),(1,1)]")
+_E12_E22_CUBIC_NEG = ("-4*e[(1,1),(2,1)]*e[(2,1),(2,1)] "
+                      "+ 2*e[(1,1),(1,1)]*e[(1,1),(2,1)]*e[(2,1),(2,1)] "
+                      "- 2*e[(1,1),(2,1)]*e[(1,1),(2,1)]*e[(2,1),(1,1)]")
+_DIAGONAL_CUBIC = ("-2*e[(1,1),(1,1)]*e[(2,1),(2,1)] + 2*e[(2,1),(2,1)]*e[(2,1),(2,1)] "
+                   "+ 2*e[(1,1),(1,1)]*e[(1,1),(1,1)]*e[(2,1),(2,1)] "
+                   "- 2*e[(1,1),(1,1)]*e[(1,1),(2,1)]*e[(2,1),(1,1)] "
+                   "- 2*e[(1,1),(1,1)]*e[(2,1),(2,1)]*e[(2,1),(2,1)] "
+                   "+ 2*e[(1,1),(2,1)]*e[(2,1),(1,1)]*e[(2,1),(2,1)]")
+_DIAGONAL_CUBIC_NEG = ("2*e[(1,1),(1,1)]*e[(2,1),(2,1)] - 2*e[(2,1),(2,1)]*e[(2,1),(2,1)] "
+                       "- 2*e[(1,1),(1,1)]*e[(1,1),(1,1)]*e[(2,1),(2,1)] "
+                       "+ 2*e[(1,1),(1,1)]*e[(1,1),(2,1)]*e[(2,1),(1,1)] "
+                       "+ 2*e[(1,1),(1,1)]*e[(2,1),(2,1)]*e[(2,1),(2,1)] "
+                       "- 2*e[(1,1),(2,1)]*e[(2,1),(1,1)]*e[(2,1),(2,1)]")
+
+
+def test_straight_product_yangian_witnesses_of_the_inverse(zE2):
+    # the inverse is Yangian for the opposite product only; in the straight
+    # product the first failures sit at z^-3 w^-2, one (z - w) shift above
+    # the lowest known exponents, and the walk stops at ten of them
+    ok, wit = yangian_identity_check(invert_matrix(zE2, -8))
+    assert not ok
+    assert _witnesses(wit) == [
+        ((1, 1, 1, 2), "-3", "-2", _E11_E21_CUBIC_NEG),
+        ((1, 1, 2, 1), "-3", "-2", _E12_E22_CUBIC),
+        ((1, 2, 1, 1), "-3", "-2", _E11_E21_CUBIC),
+        ((1, 2, 2, 1), "-3", "-2", _DIAGONAL_CUBIC),
+        ((1, 2, 2, 2), "-3", "-2", _E11_E21_CUBIC_NEG),
+        ((2, 1, 1, 1), "-3", "-2", _E12_E22_CUBIC_NEG),
+        ((2, 1, 1, 2), "-3", "-2", _DIAGONAL_CUBIC_NEG),
+        ((2, 1, 2, 2), "-3", "-2", _E12_E22_CUBIC),
+        ((2, 2, 1, 2), "-3", "-2", _E11_E21_CUBIC),
+        ((2, 2, 2, 1), "-3", "-2", _E12_E22_CUBIC_NEG),
+    ]
+
+
+def _bumped_inverse(zE2, gl2, n2):
+    """The -6 inverse of z + E with 1·z^{n2/2} added to entry (1,2)."""
+    inv = invert_matrix(zE2, -6)
+    data = [list(row) for row in inv.data]
+    data[0][1] = data[0][1] + SeriesElem(gl2, {n2: gl2.one()})
+    return SeriesMatrix(gl2, data)
+
+
+def test_mixed_identity_witnesses_of_a_perturbed_inverse(gl2, zE2):
+    ok, wit = inverse_mixed_identity_check(zE2, _bumped_inverse(zE2, gl2, -4))
+    assert not ok
+    assert _witnesses(wit) == [
+        ((1, 1, 1, 1), "0", "-2", "-e[(1,1),(2,1)]"),
+        ((1, 1, 1, 2), "0", "-2", "e[(1,1),(1,1)]"),
+        ((1, 2, 1, 1), "0", "-2", "-e[(2,1),(2,1)]"),
+        ((1, 2, 2, 2), "0", "-2", "e[(1,1),(1,1)]"),
+        ((2, 2, 1, 2), "0", "-2", "-e[(2,1),(2,1)]"),
+        ((2, 2, 2, 2), "0", "-2", "e[(1,1),(2,1)]"),
+    ]
+
+
+def test_difference_below_a_shifted_floor_is_not_reported(gl2, zE2):
+    # a scalar at w^-5/2 leaves the commutator side alone and moves the
+    # delta sums there, at the inverse's floor but below the floor w^-2 of
+    # the (z - w)-shifted commutator grid, so nothing is known to differ
+    ok, wit = inverse_mixed_identity_check(zE2, _bumped_inverse(zE2, gl2, -5))
+    assert ok, wit
 
 
 # ---------------------------------------------------------------------------

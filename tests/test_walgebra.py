@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wgl.pyramid import Box, Partition, box_position, structure_matrices
+from wgl.pyramid import Box, Partition, box_position, boxes, structure_matrices, x_coord
 from wgl.quotient import act, ad_invariant_witness, reduce_mod_I, w_commutator, w_product
 from wgl.series import (
     SeriesElem,
@@ -20,6 +20,7 @@ from wgl.walgebra import (
     _generating_family,
     _inner_scales,
     _reduce_series,
+    _weighted_E,
     build_L,
     build_shifted_matrix,
     capelli_suite,
@@ -341,15 +342,9 @@ def _complement(parts, f2):
     return A.submatrix(compI, compJ), A.submatrix(compI, colsJ), rs, cs
 
 
-@pytest.mark.parametrize("parts, floor, in_M", [
-    ((2, 1, 1), -5, False), ((3,), None, False), ((2, 1, 1), -5, True),
-])
-def test_solve_is_a_right_inverse(parts, floor, in_M):
-    f2 = None if floor is None else 2 * floor
-    B, R, rs, cs = _complement(parts, f2)
-    mul = act if in_M else None
-    if in_M:
-        R = R.map_entries(_reduce_series)
+def _check_right_inverse(B, R, mul, f2, rs, cs):
+    """solve(B, R) and solve(B, 1) agree with R and 1 after multiplying by B,
+    wherever the product is known; returns solve(B, R)."""
     X = solve(B, R, mul, f2, rs, cs)
     BX = B.matmul(X, mul)
     assert BX.first_diff(R) is None
@@ -368,6 +363,34 @@ def test_solve_is_a_right_inverse(parts, floor, in_M):
     inv = invert_matrix(D, f2, mul)
     assert solve(D, one, mul, f2).data == inv.data
     assert D.matmul(inv, mul).first_diff(one) is None
+    return X
+
+
+@pytest.mark.parametrize("parts, floor, in_M", [
+    ((2, 1, 1), -5, False), ((3,), None, False), ((2, 1, 1), -5, True),
+])
+def test_solve_is_a_right_inverse(parts, floor, in_M):
+    f2 = None if floor is None else 2 * floor
+    B, R, rs, cs = _complement(parts, f2)
+    mul = act if in_M else None
+    if in_M:
+        R = R.map_entries(_reduce_series)
+    _check_right_inverse(B, R, mul, f2, rs, cs)
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 2), (2, 1, 1)])
+def test_solve_is_a_right_inverse_of_the_weighted_matrix(parts):
+    # the corner series of the main lemma: A = 1 + z^{-D}E against the
+    # seed I1, in the action on M, with the row and column scales x and -x
+    p, f2 = Partition(parts), -10
+    alg = Algebra(p)
+    xs = [x_coord(p, b) for b in boxes(p)]
+    A = SeriesMatrix.identity(alg, p.N) + _weighted_E(alg)
+    I1 = SeriesMatrix.from_scalar(alg, structure_matrices(p)["I1"])
+    X = _check_right_inverse(A, I1, act, f2, xs, [-x for x in xs])
+    pos = box_position(p)
+    corner = [X.data[pos[Box(i, p.parts[0])]] for i in range(1, p.r1 + 1)]
+    assert {e.floor2 for row in corner for e in row} == {f2}
 
 
 # ---------------------------------------------------------------------------
