@@ -6,16 +6,19 @@ arithmetic propagates floors conservatively, so a reported coefficient is
 always the true one.  Exponents and floors are half-integers, passed and
 kept as doubled ints.
 
-One solver, `solve`, computes A^{-1}·Y right to left as the geometric
-series sum (-T)^l applied to Y, after normalizing by an invertible scalar
-pivot: either the top-exponent coefficient matrix (when it is purely scalar)
-or the scalar part of the z^0 coefficient.  Row/column scaling by scalar
-z-monomials exposes the pivot of matrices (e.g. submatrices of the shifted
-matrix, or the weighted matrix 1 + z^{-D}E of the main lemma) whose pivot
-only becomes visible after conjugating by diag(z^{x(b)}).  It holds the
-package's only geometric-series loop.  `invert_matrix` is `solve` against
-the identity.  The submatrix route `quasideterminant` makes one solve; its
-oracle `quasideterminant_by_definition` makes one solve and one inversion.
+One solver, `solve`, computes A^{-1}·Y after normalizing by an invertible
+scalar pivot: either the top-exponent coefficient matrix (when it is purely
+scalar) or the scalar part of the z^0 coefficient.  Row/column scaling by
+scalar z-monomials exposes the pivot of matrices (e.g. submatrices of the
+shifted matrix, or the weighted matrix 1 + z^{-D}E of the main lemma) whose
+pivot only becomes visible after conjugating by diag(z^{x(b)}).  A top pivot
+leaves T = pivot^{-1}·A - 1 decaying, and A^{-1}·Y comes by long division to
+a floor, which it needs, with the floors the product rule gives.  The
+constant-term pivot leaves T nilpotent, and the package's only
+geometric-series loop sums (-T)^l·Y exactly.  `invert_matrix` is `solve`
+against the identity.  The submatrix route `quasideterminant` makes one
+solve; its oracle `quasideterminant_by_definition` makes one solve and one
+inversion.
 
 Series and matrix products, inversion, quasideterminants and the Yangian
 identity check take the ring product used on coefficients as `mul` (the
@@ -412,8 +415,8 @@ class SeriesMatrix:
 def _detect_pivot(M: SeriesMatrix):
     """Find an invertible scalar pivot: returns (pivot_exp2, C, decaying).
 
-    Tries the top-exponent coefficient matrix first (decay of the geometric
-    tail is then automatic); falls back to the scalar part of the z^0
+    Tries the top-exponent coefficient matrix first (T then decays, and
+    `solve` divides); falls back to the scalar part of the z^0
     coefficients.
     """
     n = M.rows
@@ -451,26 +454,68 @@ def _detect_pivot(M: SeriesMatrix):
         "scalar z^0 part is invertible (consider row/column scaling)")
 
 
+def _divide(negT: SeriesMatrix, Y: SeriesMatrix, mul: MulFn, need: list) -> SeriesMatrix:
+    """X = Y + negT·X for a negT with only negative exponents, by long
+    division: X_k = Y_k + sum_e negT_e·X_{k-e}, each coefficient once, from
+    the top of Y down to row i's depth need[i].  need[l] is first deepened
+    to need[i] - top(negT_il) wherever negT couples row i to row l, so a
+    coefficient only reads computed ones.  X_ij then gets the floor, at
+    least need[i], that SeriesElem.mul's product rule gives
+    Y_ij + sum_l negT_il·X_lj, applied until no floor moves.
+    """
+    alg, n, cols, T = Y.alg, Y.rows, range(Y.cols), negT.data
+    for _ in range(n):      # paths of at most n - 1 couplings
+        for i, l in product(range(n), repeat=2):
+            if T[i][l].terms:
+                need[l] = min(need[l], need[i] - T[i][l].top2())
+    X, lo, hi = [[{} for _ in cols] for _ in range(n)], min(need), Y.max_top2()
+    for k in range(lo - 1 if hi is None else hi, lo - 1, -1):
+        for i, j in product(range(n), cols):
+            if k < need[i]:
+                continue
+            y = Y.data[i][j].terms.get(k)
+            acc = dict(y.terms) if y is not None else {}
+            for l in range(n):
+                xl = X[l][j]
+                for e, t in T[i][l].terms.items():
+                    x = xl.get(k - e)
+                    if x is not None:
+                        for mono, c in mul(t, x).terms.items():
+                            acc[mono] = acc.get(mono, 0) + c
+            acc = {m: c for m, c in acc.items() if c}
+            if acc:
+                X[i][j][k] = UEAElement(alg, acc)
+    fl = [[_add_floor2(Y.data[i][j].floor2, need[i]) for j in cols] for i in range(n)]
+    for _ in range(n + 1):
+        S = [[SeriesElem(alg, X[i][j], fl[i][j]) for j in cols] for i in range(n)]
+        new = [[max([fl[i][j]] + [g for l in range(n)
+                                  if (g := T[i][l]._mul_floor2(S[l][j])) is not None])
+                for j in cols] for i in range(n)]
+        if new == fl:
+            return SeriesMatrix(alg, S)
+        fl = new
+    raise ArithmeticError("the floors of the solution do not settle: the matrix is "
+                          "not known below its pivot")
+
+
 def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
           f2: Optional[int] = None, row_scale=None, col_scale=None) -> SeriesMatrix:
-    """A^{-1}·Y to the doubled floor f2, computed right to left.
+    """A^{-1}·Y to the doubled floor f2.
 
     row_scale / col_scale (doubled exponents, one per index: Dr = z^rs and
     Dc = z^cs) expose a scalar pivot hidden by mixed exponents: with the
-    pivot pre = C^{-1} z^{-d} of Dr·A·Dc from `_detect_pivot` and
-    T = pre·Dr·A·Dc - 1,
+    pivot pre = C^{-1} z^{-d} of Dr·A·Dc from `_detect_pivot`,
+    T = pre·Dr·A·Dc - 1 and Y' = pre·Dr·Y, A^{-1}·Y = Dc·X for the X with
+    X = Y' - T·X.
 
-        A^{-1}·Y = Dc·sum_l (-T)^l·(pre·Dr·Y).
-
-    T is kept whole: a dropped term of it could reach a product above the
-    cut whenever a term of the series has a positive exponent.  With a
-    top-exponent pivot T only has negative exponents, and each term is cut
-    at f2 - max(cs), the depth that Dc needs for floor f2.  A constant-term
-    pivot makes T nilpotent (the exact shapes), and the series is summed
-    untruncated.  The sum stops at the first zero term, and raises
-    ArithmeticError if a step cap, fixed from the depth in advance, runs
-    out first.  Every product but the scalar pivot's multiplies onto a
-    partial result, so `mul` may be the action on M when Y is reduced.
+    A top-exponent pivot leaves T with only negative exponents: X comes by
+    long division (`_divide`), row i to f2 - cs[i] or deeper, and with no
+    f2 a pivot off z^0 raises ArithmeticError before any product.  The
+    constant-term pivot (also a top pivot at z^0 with no f2) makes T
+    nilpotent but lets it have positive exponents: X = sum_l (-T)^l·Y' is
+    summed untruncated up to a fixed step cap.  Every product but the
+    pivot's multiplies onto a partial result, so `mul` may be the action on
+    M when Y is reduced.
     """
     if A.rows != A.cols:
         raise ValueError("matrix not square")
@@ -481,25 +526,25 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
     if col_scale is not None:
         M = M.scale_cols(col_scale)
     d2, C, decaying = _detect_pivot(M)
-    g2 = None
-    if decaying and f2 is not None:
-        g2 = f2 - max(col_scale or (), default=0)
+    if decaying and f2 is None and d2:
+        raise ArithmeticError(f"the pivot at z^{half_str(d2)} leaves an endless "
+                              "series: solving needs a floor")
 
     pre = SeriesMatrix.from_scalar(alg, C.inverse(), -d2)
     negT = SeriesMatrix.identity(alg, n) - pre.matmul(M, mul)
     Y0 = pre.matmul(Y0, mul)
-    steps = 2 * n + 16
-    t2 = Y0.max_top2()
-    if g2 is not None and t2 is not None:
-        steps += max(0, t2 - g2)     # each term lowers the top by at least 1/2
-    S = term = Y0.truncate2(g2)
-    for _ in range(steps):
-        term = negT.matmul(term, mul, g2).truncate2(g2)
-        if term.is_zero():
-            break
-        S = S + term
+    if decaying and f2 is not None:
+        S = _divide(negT, Y0, mul or _default_mul, [f2 - c for c in col_scale or [0] * n])
     else:
-        raise ArithmeticError(f"geometric series did not terminate in {steps} steps")
+        S = term = Y0
+        steps = 2 * n + 16
+        for _ in range(steps):
+            term = negT.matmul(term, mul)
+            if term.is_zero():
+                break
+            S = S + term
+        else:
+            raise ArithmeticError(f"geometric series did not terminate in {steps} steps")
     if col_scale is not None:
         S = S.scale_rows(col_scale)
     return S.truncate2(f2)

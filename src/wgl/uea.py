@@ -13,11 +13,11 @@ pass.
 
 All rewriting to PBW normal form is one iterative walk, `_straighten`, in
 a `_Space`: a bracket, an intern table numbering monomials with small ints,
-and a memo keyed by head and id.  The brackets are the gl_N structure
-constants for U(g) (`Algebra._lm_cache`) and for its action on M = U(g)/I
-(`Algebra._act_cache`), and a generator family's table in
-`walgebra.GeneratorBasis`, whose brackets may be words.  `_fold`, the only
-way in, multiplies a sum of words onto normal monomials, sharing tails.
+and a memo keyed by head and id whose rows are flat (id, coeff, ...) tuples.
+The brackets are the gl_N structure constants for U(g) (`Algebra._lm_cache`)
+and for its action on M = U(g)/I (`Algebra._act_cache`), and a generator
+family's table in `walgebra.GeneratorBasis`, whose brackets may be words.
+`_fold`, the only way in, multiplies a sum of words onto normal monomials.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ Coeff = Union[int, Fraction]
 
 # Straightening-memo entries are cheap to recompute but can pile up on long
 # runs; past this many a space is cleared wholesale (only between folds,
-# never mid-walk).
+# never mid-walk).  An entry with its flat row takes about 122 bytes (the
+# (2,1,1) action memo after its membership check at -5), so about 370 MB.
 _LM_CACHE_CAP = 3_000_000
 
 
@@ -88,7 +89,7 @@ class Algebra:
         self._lm_cache = _Space(self._comm_ids)
         # e_x·1 = (f|e_x) in M for the degree->=1 letters: as those sort
         # last, no other rewrite puts one into a reduced monomial
-        self._act_cache = _Space(self._comm_ids, {x: ((0, f),) if f else ()
+        self._act_cache = _Space(self._comm_ids, {x: (0, f) if f else ()
             for x, (c, f) in enumerate(zip(self.cls, self.fval)) if c == 2})
 
     # -- structure constants ------------------------------------------------
@@ -153,9 +154,10 @@ class Algebra:
 
 class _Space:
     """Monomials interned as small ints (`monos[i]` has id i, `ids` maps it
-    back, id 0 is ()), and the memo `rows[x][i]` = x·monos[i] as ((id,
-    coeff), ...) for a head x, a letter or a word; `comm` is the bracket the
-    walk rewrites with, `seed` the rows {x: x·1} the space starts from."""
+    back, id 0 is ()), and the memo `rows[x][i]` = x·monos[i] for a head x,
+    a letter or a word, as one flat tuple (id0, c0, id1, c1, ...): no pair
+    tuple is stored, which halves the memo.  `comm` is the bracket the walk
+    rewrites with, `seed` the rows {x: x·1} the space starts from."""
 
     __slots__ = ("comm", "seed", "monos", "ids", "rows")
 
@@ -182,7 +184,7 @@ class _Space:
 
 def _straighten(space: _Space, x, mid: int):
     """Normal form of x·monos[mid] for a normal (PBW-ordered) monomial, as
-    ((id, coeff), ...), memoized in space.rows[x][mid].
+    a flat row (id, coeff, ...), memoized in space.rows[x][mid].
 
     space.comm(x, y) gives the bracket [x, y] of letters x > y as (head,
     coeff) pairs, where a head is one letter or a word w of two or more
@@ -207,7 +209,7 @@ def _straighten(space: _Space, x, mid: int):
         else:
             mono = monos[km]
             if not mono or kx <= mono[0]:
-                row[km] = ((intern((kx,) + mono), 1),)
+                row[km] = (intern((kx,) + mono), 1)
                 stack.pop()
                 continue
             y, rest = mono[0], intern(mono[1:])
@@ -219,7 +221,7 @@ def _straighten(space: _Space, x, mid: int):
             ready = False
         else:
             ry = rows[y]
-            for m1, _ in got1:
+            for m1 in got1[::2]:
                 if m1 not in ry:
                     stack.append((y, m1))
                     ready = False
@@ -230,13 +232,15 @@ def _straighten(space: _Space, x, mid: int):
         if not ready:
             continue
         acc: dict = {}
-        for m1, c1 in got1:
-            for m2, c2 in ry[m1]:
+        for m1, c1 in zip(got1[::2], got1[1::2]):
+            r = ry[m1]
+            for m2, c2 in zip(r[::2], r[1::2]):
                 acc[m2] = acc.get(m2, 0) + c1 * c2
         for t, ct in terms:
-            for m3, c3 in rows[t][rest]:
+            r = rows[t][rest]
+            for m3, c3 in zip(r[::2], r[1::2]):
                 acc[m3] = acc.get(m3, 0) + ct * c3
-        row[km] = tuple((m, c) for m, c in acc.items() if c != 0)
+        row[km] = tuple(v for mc in acc.items() if mc[1] for v in mc)
         stack.pop()
     return rows[x][mid]
 
@@ -279,8 +283,19 @@ def _fold(left: dict, right: dict, space: _Space) -> dict:
                 got = row.get(m)
                 if got is None:
                     got = _straighten(space, ell, m)
-                for m2, c2 in got:
+                # most rows hold one or two terms: unpack those directly
+                k = len(got)
+                if k == 2:
+                    m2, c2 = got
                     nxt[m2] = nxt.get(m2, 0) + c * c2
+                elif k == 4:
+                    m2, c2, m3, c3 = got
+                    nxt[m2] = nxt.get(m2, 0) + c * c2
+                    nxt[m3] = nxt.get(m3, 0) + c * c3
+                else:
+                    it = iter(got)
+                    for m2, c2 in zip(it, it):
+                        nxt[m2] = nxt.get(m2, 0) + c * c2
             stack.append((i, j, depth + 1,
                           {m: c for m, c in nxt.items() if c}))
             i = j

@@ -1,9 +1,14 @@
+import random
+from itertools import product
+
 import pytest
 
 from wgl.pyramid import Partition, ScalarMatrix
+from wgl.quotient import act, reduce_mod_I, w_product
 from wgl.series import (
     SeriesElem,
     SeriesMatrix,
+    _detect_pivot,
     inverse_mixed_identity_check,
     invert_matrix,
     noncomm_det,
@@ -16,7 +21,7 @@ from wgl.series import (
 )
 from wgl.uea import Algebra
 
-from conftest import gl_algebra, gl_gen, z_plus_E
+from conftest import gl_algebra, gl_gen, random_element, z_plus_E
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +121,119 @@ def test_solve_keeps_T_whole(gl2):
     X = solve(A, Y, f2=-2)
     assert X.data[0][0].terms == {4: gl2.one(), 0: -e}
     assert A.matmul(X).first_diff(Y) is None
+
+
+def test_a_decaying_pivot_with_no_floor_fails_before_any_product():
+    # z·1 + E over (2): the top pivot z^1 leaves T = z^{-1}E, whose powers
+    # never vanish, so there is nothing to sum without a floor
+    alg = Algebra(Partition((2,)))
+    A = SeriesMatrix(alg, [[SeriesElem(alg, {2: alg.one(), 0: alg.gen(b, a)} if a == b
+                                       else {0: alg.gen(b, a)})
+                            for b in alg.boxes] for a in alg.boxes])
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x * y
+
+    with pytest.raises(ArithmeticError, match="needs a floor"):
+        invert_matrix(A, None, mul)
+    assert calls == []
+    assert A.matmul(invert_matrix(A, -6, mul), floor2=-6).agrees_with(
+        SeriesMatrix.identity(alg, 2), -6)
+
+
+def test_a_matrix_known_only_above_its_pivot_is_refused():
+    # off-diagonal entries known to vanish only above z^1: each row's floor
+    # would sit above the other's, with no end
+    alg = Algebra(Partition((2,)))
+    one, unknown = SeriesElem(alg, {0: alg.one()}), SeriesElem(alg, {}, 2)
+    A = SeriesMatrix(alg, [[one, unknown], [unknown, one]])
+    with pytest.raises(ArithmeticError, match="do not settle"):
+        invert_matrix(A, -4)
+
+
+def _geometric_solve(A, Y, mul=None, f2=None, row_scale=None, col_scale=None):
+    """The oracle for `solve`: Dc·sum_l (-T)^l·(pre·Dr·Y), every partial
+    power formed and cut at f2 - max(cs) when the pivot decays.
+
+    It takes in the floors of its first zero power too: a power that
+    vanishes because T is known only above some floor leaves the solution
+    unknown below the floor that power carries."""
+    alg, n = A.alg, A.rows
+    M, Y0 = A, Y
+    if row_scale is not None:
+        M, Y0 = M.scale_rows(row_scale), Y0.scale_rows(row_scale)
+    if col_scale is not None:
+        M = M.scale_cols(col_scale)
+    d2, C, decaying = _detect_pivot(M)
+    g2 = f2 - max(col_scale or (), default=0) if decaying and f2 is not None else None
+    pre = SeriesMatrix.from_scalar(alg, C.inverse(), -d2)
+    negT = SeriesMatrix.identity(alg, n) - pre.matmul(M, mul)
+    S = term = pre.matmul(Y0, mul).truncate2(g2)
+    for _ in range(100):
+        term = negT.matmul(term, mul, g2).truncate2(g2)
+        S = S + term
+        if term.is_zero():
+            break
+    else:
+        raise AssertionError("the oracle's series did not terminate")
+    if col_scale is not None:
+        S = S.scale_rows(col_scale)
+    return S.truncate2(f2)
+
+
+def _random_decaying(alg, rng, n, fa, scales, reduced):
+    """A random n x n matrix whose scaled form Dr·A·Dc has the scalar top
+    z^{d/2}·C, C unitriangular up to a permutation, over terms one or two
+    half-steps lower; every entry of the scaled form is floored at d + fa
+    (T then at fa) when fa is not None."""
+    d = rng.choice([-2, 0, 1, 2])
+    perm = rng.sample(range(n), n)
+    rs, cs = scales
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = {}
+            if j == perm[i]:
+                terms[d] = alg.scalar(rng.choice([1, -1, 2]))
+            elif j > perm[i] and rng.random() < 0.5:
+                terms[d] = alg.scalar(rng.choice([1, -1]))
+            for k in (1, 2):
+                if rng.random() < 0.6:
+                    x = random_element(alg, rng, max_deg=1, max_terms=2)
+                    terms[d - k] = reduce_mod_I(x) if reduced else x
+            floor = None if fa is None else d + fa
+            row.append(SeriesElem(alg, terms, floor).shift2(-rs[i] - cs[j]))
+        rows.append(row)
+    return SeriesMatrix(alg, rows)
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (2, 1, 1)])
+@pytest.mark.parametrize("ring", ["uea", "act", "w_product"])
+def test_solve_matches_the_geometric_series_oracle(parts, ring):
+    alg = Algebra(Partition(parts))
+    mul = {"uea": None, "act": act, "w_product": w_product}[ring]
+    rng = random.Random(f"{parts}{ring}")
+    # T unfloored, floored at f2 as in the W-inverse, or above f2 as the
+    # definition route's can be; each with and without scales
+    for fa, scaled in product([None, 0, 2], [False, True]):
+        n, m = rng.choice([1, 2, 3]), rng.choice([1, 2])
+        f2 = rng.choice([-4, -3])
+        fa = None if fa is None else f2 + fa
+        rs = [rng.choice([-2, -1, 0, 1, 2]) for _ in range(n)] if scaled else [0] * n
+        cs = rng.sample([-2, 0, 2], n) if scaled else [0] * n
+        A = _random_decaying(alg, rng, n, fa, (rs, cs), ring == "w_product")
+        Y = SeriesMatrix(alg, [[SeriesElem(alg, {
+            rng.choice([-1, 0, 2]): reduce_mod_I(random_element(alg, rng, max_deg=1))})
+            for _ in range(m)] for _ in range(n)])
+        args = (A, Y, mul, f2) + ((rs, cs) if scaled else ())
+        got, want = solve(*args), _geometric_solve(*args)
+        assert [[e.terms for e in row] for row in got.data] \
+            == [[e.terms for e in row] for row in want.data]
+        assert [[e.floor2 for e in row] for row in got.data] \
+            == [[e.floor2 for e in row] for row in want.data]
 
 
 def test_noncomm_det_on_scalars_matches_ordinary_det(gl2):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from wgl import uea
 from wgl.pyramid import Box, Partition, parse_half2
 from wgl.quotient import act, reduce_mod_I
 from wgl.uea import Algebra, _fold, _Space, element_from_json
-from wgl.walgebra import GeneratorBasis, family_generators
+from wgl.walgebra import GeneratorBasis, build_L, family_generators, w_membership_check
 
 from conftest import gl_algebra, gl_gen, random_element
 
@@ -189,8 +190,26 @@ def test_kernel_agrees_with_a_fresh_space(parts):
         assert all(space.monos[i] == m for m, i in space.ids.items())
         ids = {i for row in space.rows.values() for i in row}
         ids |= {i for row in space.rows.values() for got in row.values()
-                for i, _ in got}
+                for i in got[::2]}
         assert ids <= set(range(len(space.monos)))
+        # every row, the seeded chi rows too, is flat: (id0, c0, id1, c1, ...)
+        for row in space.rows.values():
+            for got in row.values():
+                assert type(got) is tuple and len(got) % 2 == 0
+                assert all(type(i) is int for i in got[::2])
+
+
+def test_action_memo_of_a_membership_check_stays_small():
+    # flat rows: (2,1,1) at -5 leaves 68,837 entries, 17.3 MB as pair tuples
+    p = Partition((2, 1, 1))
+    space = Algebra(p)._act_cache
+    space.clear()
+    assert w_membership_check(build_L(p, -10))["pass"]
+    # a row's size counts any tuple nested in it
+    size = sum(sys.getsizeof(row) + sum(sys.getsizeof(got) + sum(
+        sys.getsizeof(x) for x in got if type(x) is tuple) for got in row.values())
+        for row in space.rows.values())
+    assert size < 10_000_000, size
 
 
 def test_results_survive_a_cap_drop(monkeypatch):
