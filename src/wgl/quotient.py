@@ -11,10 +11,12 @@ that action on canonical representatives, reducing after every letter.
 W-algebra membership is the ad-invariance test [a, w]·1 = 0 in M for every
 letter a of degree >= 1/2, and the product of W-elements is w1·(w2·1), the
 action of the canonical representative of w1 on that of w2 (any lift of w1
-gives the same vector, since I·w2 lies in I for an invariant w2).  The
-tensor-factor product `ucirc_mul` multiplies the degree-<=0 blocks in order
-and the degree-1/2 (Weyl) blocks in the opposite order; the two products must
-agree on W-elements, and keeping both catches convention slips.
+gives the same vector, since I·w2 lies in I for an invariant w2); `w_product`
+is the only W-product the package runs.  The tensor-factor product
+`ucirc_mul` multiplies the degree-<=0 blocks in order and the degree-1/2
+(Weyl) blocks in the opposite order.  It must agree with `w_product` on
+W-elements, so the tests use it as their oracle for the relation tables, and
+the benchmark tracer wraps it; no package code calls it.
 """
 
 from __future__ import annotations

@@ -23,10 +23,10 @@ inversion.
 Series and matrix products, inversion, quasideterminants and the Yangian
 identity check take the ring product used on coefficients as `mul` (the
 U(g) product by default), so the same matrix calculus serves U(g), the
-W-algebra product on M and the opposite product.  Since `solve` and the
-submatrix route only multiply onto partial results, `mul` may also be the
-action of U(g) on M.  Determinants, the definition route and the mixed
-inverse identity always use the U(g) product.
+W-algebra product on M and, in the tests, the opposite product.  Since
+`solve` and the submatrix route only multiply onto partial results, `mul`
+may also be the action of U(g) on M.  Determinants, the definition route
+and the mixed inverse identity always use the U(g) product.
 
 The two bivariate identity checks add the coefficient grids of lhs - rhs
 for one index quadruple into a single term map and report its lowest
@@ -39,17 +39,13 @@ from itertools import permutations, product
 from typing import Callable, Optional, Sequence, Tuple
 
 from .pyramid import ScalarMatrix, half_str
-from .uea import Algebra, UEAElement
+from .uea import Algebra, UEAElement, _add_into
 
 MulFn = Callable[[UEAElement, UEAElement], UEAElement]
 
 
 def _default_mul(x: UEAElement, y: UEAElement) -> UEAElement:
     return x * y
-
-
-def opposite_mul(x: UEAElement, y: UEAElement) -> UEAElement:
-    return y * x
 
 
 def _floor2(f2: Optional[int]) -> Optional[int]:
@@ -203,19 +199,7 @@ class SeriesElem:
                 k2 = m2 + n2
                 if rf2 is not None and k2 < rf2:
                     continue
-                p = mul(cx, cy)
-                if p.is_zero():
-                    continue
-                slot = acc.get(k2)
-                if slot is None:
-                    acc[k2] = dict(p.terms)
-                else:
-                    for mono, c in p.terms.items():
-                        c2 = slot.get(mono, 0) + c
-                        if c2:
-                            slot[mono] = c2
-                        else:
-                            del slot[mono]
+                _add_into(acc.setdefault(k2, {}), mul(cx, cy).terms)
         terms = {k2: UEAElement(self.alg, d) for k2, d in acc.items()}
         return SeriesElem(self.alg, terms, rf2)
 
@@ -241,9 +225,6 @@ class SeriesElem:
             if not d.is_zero():
                 return (n2, d)
         return None
-
-    def agrees_with(self, other: "SeriesElem", f2: Optional[int] = None) -> bool:
-        return self.first_diff2(other, f2) is None
 
     def __eq__(self, other):
         if not isinstance(other, SeriesElem):
@@ -393,9 +374,6 @@ class SeriesMatrix:
                     return (i, j) + d
         return None
 
-    def agrees_with(self, other: "SeriesMatrix", f2: Optional[int] = None) -> bool:
-        return self.first_diff(other, f2) is None
-
     def to_json_obj(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [[e.to_json_obj() for e in row] for row in self.data]}
@@ -480,9 +458,7 @@ def _divide(negT: SeriesMatrix, Y: SeriesMatrix, mul: MulFn, need: list) -> Seri
                 for e, t in T[i][l].terms.items():
                     x = xl.get(k - e)
                     if x is not None:
-                        for mono, c in mul(t, x).terms.items():
-                            acc[mono] = acc.get(mono, 0) + c
-            acc = {m: c for m, c in acc.items() if c}
+                        _add_into(acc, mul(t, x).terms)
             if acc:
                 X[i][j][k] = UEAElement(alg, acc)
     fl = [[_add_floor2(Y.data[i][j].floor2, need[i]) for j in cols] for i in range(n)]
@@ -513,9 +489,10 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
     f2 a pivot off z^0 raises ArithmeticError before any product.  The
     constant-term pivot (also a top pivot at z^0 with no f2) makes T
     nilpotent but lets it have positive exponents: X = sum_l (-T)^l·Y' is
-    summed untruncated up to a fixed step cap.  Every product but the
-    pivot's multiplies onto a partial result, so `mul` may be the action on
-    M when Y is reduced.
+    summed untruncated up to a fixed step cap, the first zero power
+    included: a power known only above some floor bounds X there too.
+    Every product but the pivot's multiplies onto a partial result, so `mul`
+    may be the action on M when Y is reduced.
     """
     if A.rows != A.cols:
         raise ValueError("matrix not square")
@@ -540,9 +517,9 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
         steps = 2 * n + 16
         for _ in range(steps):
             term = negT.matmul(term, mul)
+            S = S + term    # a zero power still carries its floor
             if term.is_zero():
                 break
-            S = S + term
         else:
             raise ArithmeticError(f"geometric series did not terminate in {steps} steps")
     if col_scale is not None:
@@ -602,12 +579,6 @@ def _selector_indices(sel: ScalarMatrix, by_cols: bool):
             return None
         out.append(hits[0])
     return out
-
-
-def sandwich(J1: ScalarMatrix, B: SeriesMatrix, I1: ScalarMatrix) -> SeriesMatrix:
-    alg = B.alg
-    return SeriesMatrix.from_scalar(alg, J1).matmul(B).matmul(
-        SeriesMatrix.from_scalar(alg, I1))
 
 
 def _deliver(out: SeriesMatrix, f2: Optional[int]) -> SeriesMatrix:
@@ -718,13 +689,7 @@ def _identity_grid(A: SeriesMatrix, mul: MulFn, sides):
                     moves = (((m2 + 2, n2), c), ((m2, n2 + 2), -c)) if shift \
                         else (((m2, n2), c),)
                     for key, s in moves:
-                        slot = acc.setdefault(key, {})
-                        for mono, x in p.terms.items():
-                            x = slot.get(mono, 0) + s * x
-                            if x:
-                                slot[mono] = x
-                            else:
-                                del slot[mono]
+                        _add_into(acc.setdefault(key, {}), p.terms, s)
         known = [key for key, d in acc.items() if d
                  and (zf is None or key[0] >= zf) and (wf is None or key[1] >= wf)]
         if known:

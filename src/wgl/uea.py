@@ -245,6 +245,20 @@ def _straighten(space: _Space, x, mid: int):
     return rows[x][mid]
 
 
+def _add_into(acc: dict, terms: dict, s: Coeff = 1) -> dict:
+    """acc += s·terms in place, leaving no zero coefficient; returns acc.
+
+    The term-map sum outside the kernels, whose inline loops stay for speed.
+    """
+    for m, c in terms.items():
+        v = acc.get(m, 0) + s * c
+        if v:
+            acc[m] = v
+        else:
+            acc.pop(m, None)
+    return acc
+
+
 def _fold(left: dict, right: dict, space: _Space) -> dict:
     """Terms, none zero, of sum_u c_u * (u acting on the normal `right`)
     over the monomials u of `left`, straightened in `space`.
@@ -326,10 +340,7 @@ class UEAElement:
         if isinstance(other, (int, Fraction)):
             other = self.alg.scalar(other)
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return UEAElement(self.alg, {m: c for m, c in out.items() if c})
+        return UEAElement(self.alg, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -376,16 +387,6 @@ class UEAElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    # -- gradings ---------------------------------------------------------------
-
-    def kazhdan_degree(self) -> Optional[int]:
-        """Smallest filtration degree containing this element, doubled; None
-        for 0."""
-        if not self.terms:
-            return None
-        delta2 = self.alg.delta2
-        return max(sum(delta2[ell] for ell in m) for m in self.terms)
 
     def is_central(self) -> bool:
         alg = self.alg

@@ -38,13 +38,12 @@ from .pyramid import (
     structure_matrices,
     x_coord,
 )
-from .uea import Algebra, UEAElement, _Space, _fold
+from .uea import Algebra, UEAElement, _Space, _add_into, _fold
 from .quotient import (
     MElement,
     act,
     ad_invariant_witness,
     reduce_mod_I,
-    ucirc_mul,
     w_commutator,
     w_product,
 )
@@ -117,6 +116,19 @@ def _report(check: str, p: Optional[Partition], f2: Optional[int],
     }
     rep.update(extras)
     return rep
+
+
+def _first_diff_report(check: str, p: Partition, f2: Optional[int], got: SeriesMatrix,
+                       want: SeriesMatrix, **extras) -> dict:
+    """The report of comparing two series matrices above the doubled floor
+    f2, with their lowest difference, if any, as the witness."""
+    witnesses = []
+    d = got.first_diff(want, f2)
+    if d is not None:
+        i, j, n2, diff = d
+        witnesses.append({"entry": (i + 1, j + 1), "zpow": half_str(n2),
+                          "difference": diff.to_text()})
+    return _report(check, p, f2, not witnesses, witnesses, **extras)
 
 
 def _reduce_series(se: SeriesElem) -> SeriesElem:
@@ -327,13 +339,7 @@ def main_lemma_sides(p: Partition, f2: Optional[int] = None):
 def main_lemma_check(p: Partition, f2: Optional[int] = None) -> dict:
     f2 = _floor2_for(p, f2)
     lhs, rhs = main_lemma_sides(p, f2)
-    witnesses = []
-    d = lhs.first_diff(rhs, f2)
-    if d is not None:
-        i, j, n2, diff = d
-        witnesses.append({"entry": (i + 1, j + 1), "zpow": half_str(n2),
-                          "difference": diff.to_text()})
-    return _report("main-lemma", p, f2, not witnesses, witnesses)
+    return _first_diff_report("main-lemma", p, f2, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -388,40 +394,28 @@ def yangian_check_L(L: LOperator) -> dict:
     extras = {"product": "lift"}
     if L.partition.r1 == 1:
         a = L.reduced.data[0][0]
-        exps = sorted(a.exponents2(), reverse=True)
-        coeffs = {n2: a.coeff2(n2) for n2 in exps}
+        exps, coeffs = a.exponents2(), a.terms
         family = _generating_family(L.partition)
         bulk = sum(len(coeffs[m2].terms) * len(coeffs[n2].terms)
                    for u, m2 in enumerate(exps) for n2 in exps[u + 1:])
         strategy = "generators" if family and bulk > 2_000_000 else "direct"
         extras["strategy"] = strategy
-        witnesses = []
         if strategy == "generators":
             basis = GeneratorBasis(family_generators(L.partition, family))
             polys = {n2: basis.convert(c) for n2, c in coeffs.items()}
-            for u, m2 in enumerate(exps):
-                for n2 in exps[u + 1:]:
-                    d = basis.poly_commutator(polys[m2], polys[n2])
-                    if d:
-                        witnesses.append({
-                            "quadruple": (1, 1, 1, 1),
-                            "zpow": half_str(m2),
-                            "wpow": half_str(n2),
-                            "difference": basis.poly_text(d),
-                        })
+
+            def difference(m2, n2):
+                d = basis.poly_commutator(polys[m2], polys[n2])
+                return basis.poly_text(d) if d else None
         else:
-            for u, m2 in enumerate(exps):
-                am = coeffs[m2]
-                for n2 in exps[u + 1:]:
-                    an = coeffs[n2]
-                    mn, nm = w_product(am, an), w_product(an, am)
-                    if mn.terms != nm.terms:
-                        witnesses.append({
-                            "quadruple": (1, 1, 1, 1),
-                            "zpow": half_str(m2),
-                            "wpow": half_str(n2),
-                            "difference": (mn - nm).to_text(),
-                        })
+            def difference(m2, n2):
+                x, y = coeffs[m2], coeffs[n2]
+                d = w_product(x, y) - w_product(y, x)
+                return None if d.is_zero() else d.to_text()
+        witnesses = [{"quadruple": (1, 1, 1, 1), "zpow": half_str(m2),
+                      "wpow": half_str(n2), "difference": text}
+                     for u, m2 in enumerate(exps) for n2 in exps[u + 1:]
+                     if (text := difference(m2, n2)) is not None]
         ok = not witnesses
         if L.floor2 is None:
             extras["exact_commutator_zero"] = ok
@@ -775,27 +769,35 @@ def _top_symbol_projection(alg: Algebra, weighted: list, d2top: int):
     return True, poly
 
 
+def _top_symbol(alg: Algebra, key, x: UEAElement):
+    """(w2, why) for the generator w[i,j;k], key = (i, j, k), and its
+    element x: w2 = p_i + p_j - 2k is its doubled filtration weight, and
+    why is None when x sits in that filtration level and its top graded
+    symbol projects to the centralizer basis vector labelled key with
+    coefficient one, else a dict that says how it fails."""
+    i, j, k = key
+    parts = alg.partition.parts
+    w2 = parts[i - 1] + parts[j - 1] - 2 * k
+    ok, poly = _top_symbol_projection(alg, _weighted_terms(alg, x.terms), w2)
+    if not ok:
+        return w2, {"reason": "filtration level exceeded", **poly}
+    if poly != {(key,): 1}:
+        return w2, {"reason": "wrong top symbol",
+                    "symbol": {str(labs): c for labs, c in sorted(poly.items())}}
+    return w2, None
+
+
 def premet_check(g: WGenerators) -> dict:
     """Each generator must sit in the right filtration level and its top
     graded symbol must project to the matching centralizer basis vector
-    with coefficient one."""
+    with coefficient one (`_top_symbol`)."""
     p = g.partition
     alg = Algebra(p)
     witnesses = []
-    for (i, j, k) in g.sorted_keys():
-        d2top = p.parts[i - 1] + p.parts[j - 1] - 2 * k
-        ok, poly = _top_symbol_projection(alg, _weighted_terms(alg, g.table[(i, j, k)].terms),
-                                          d2top)
-        if not ok:
-            witnesses.append({"generator": (i, j, k),
-                              "reason": "filtration level exceeded", **poly})
-            continue
-        if poly != {((i, j, k),): 1}:
-            witnesses.append({
-                "generator": (i, j, k),
-                "reason": "wrong top symbol",
-                "symbol": {str(key): c for key, c in sorted(poly.items())},
-            })
+    for key in g.sorted_keys():
+        why = _top_symbol(alg, key, g.table[key])[1]
+        if why is not None:
+            witnesses.append({"generator": key, **why})
     return _report("premet", p, None, not witnesses, witnesses,
                    family=g.family, generators=len(g.table))
 
@@ -824,27 +826,20 @@ class GeneratorBasis:
     """
 
     def __init__(self, g: WGenerators):
-        self.partition = g.partition
         self.alg = Algebra(g.partition)
+        tops = {lab: _top_symbol(self.alg, lab, x) for lab, x in g.table.items()}
         # abstract letters ordered by filtration weight, ties by label
-        self.labels = sorted(g.table, key=lambda key: (self._label_w2(key), key))
+        self.labels = sorted(tops, key=lambda lab: (tops[lab][0], lab))
         self.index = {lab: n for n, lab in enumerate(self.labels)}
-        self.w2 = [self._label_w2(lab) for lab in self.labels]
+        self.w2 = [tops[lab][0] for lab in self.labels]
         self.reps = [g.table[lab] for lab in self.labels]
         for lab in self.labels:
-            ok, poly = _top_symbol_projection(
-                self.alg, _weighted_terms(self.alg, g.table[lab].terms), self._label_w2(lab))
-            if not ok or poly != {(lab,): 1}:
+            if tops[lab][1] is not None:
                 raise ArithmeticError(f"family element w[{lab[0]},{lab[1]};{lab[2]}] "
                                       f"does not reduce to its own symbol")
         self._eval_cache: dict = {(): reduce_mod_I(self.alg.one())}
         self._bracket_cache: dict = {}
         self._nf_cache = _Space(self.bracket)
-
-    def _label_w2(self, key) -> int:
-        i, j, k = key
-        parts = self.partition.parts
-        return parts[i - 1] + parts[j - 1] - 2 * k
 
     def label_text(self, n: int) -> str:
         i, j, k = self.labels[n]
@@ -896,16 +891,13 @@ class GeneratorBasis:
             if not poly:
                 raise ArithmeticError("top slice has zero symbol: element is "
                                       "not in the family's span")
-            step: dict = {}
-            for labs, c in poly.items():
-                mono = tuple(sorted(self.index[lab] for lab in labs))
-                step[mono] = step.get(mono, 0) + c
-                out[mono] = out.get(mono, 0) + c
+            # distinct label tuples give distinct sorted index tuples
+            step = {tuple(sorted(self.index[lab] for lab in labs)): c
+                    for labs, c in poly.items()}
+            _add_into(out, step)
             for mono, c in step.items():
-                for m, c2 in self._eval_mono(mono).terms.items():
-                    rem[m] = rem.get(m, 0) - c * c2
-            rem = {m: c for m, c in rem.items() if c}
-        return {m: c for m, c in out.items() if c}
+                _add_into(rem, self._eval_mono(mono).terms, -c)
+        return out
 
     # -- abstract straightening over the bracket table -----------------------
 
@@ -930,15 +922,7 @@ class GeneratorBasis:
         return _fold(P, Q, self._nf_cache)
 
     def poly_commutator(self, P: dict, Q: dict) -> dict:
-        a = self.poly_mul(P, Q)
-        b = self.poly_mul(Q, P)
-        for m, c in b.items():
-            v = a.get(m, 0) - c
-            if v:
-                a[m] = v
-            else:
-                a.pop(m, None)
-        return a
+        return _add_into(self.poly_mul(P, Q), self.poly_mul(Q, P), -1)
 
 
 def _generating_family(p: Partition) -> Optional[str]:
@@ -955,17 +939,6 @@ def _generating_family(p: Partition) -> Optional[str]:
 # commutator tables
 
 
-def _pair_product(x: MElement, y: MElement, witnesses: list, tag) -> MElement:
-    """Quotient product via lifts, cross-checked against the ordered
-    splitting product; a disagreement is recorded, not raised."""
-    a = w_product(x, y)
-    b = ucirc_mul(x, y)
-    if a != b:
-        witnesses.append({"products_disagree": tag,
-                          "difference": (a - b).to_text()})
-    return a
-
-
 def _check_principal_table(g: WGenerators, witnesses: list):
     keys = g.sorted_keys()
     for a in keys:
@@ -975,7 +948,6 @@ def _check_principal_table(g: WGenerators, witnesses: list):
             d = w_commutator(g.table[a], g.table[b])
             if not d.is_zero():
                 witnesses.append({"pair": (a, b), "commutator": d.to_text()})
-            _pair_product(g.table[a], g.table[b], witnesses, (a, b))
 
 
 def _check_rectangular_table(g: WGenerators, witnesses: list):
@@ -1004,12 +976,8 @@ def _check_rectangular_table(g: WGenerators, witnesses: list):
                             lhs = w_commutator(w(a, b, h), w(c, d, k))
                             rhs = reduce_mod_I(alg.zero())
                             for n in range(min(p1 - 1 - h, k) + 1):
-                                rhs = rhs + _pair_product(
-                                    w(a, d, h + n + 1), w(c, b, k - n),
-                                    witnesses, (a, b, c, d, h, k))
-                                rhs = rhs - _pair_product(
-                                    w(a, d, k - n), w(c, b, h + n + 1),
-                                    witnesses, (a, b, c, d, h, k))
+                                rhs = rhs + w_product(w(a, d, h + n + 1), w(c, b, k - n))
+                                rhs = rhs - w_product(w(a, d, k - n), w(c, b, h + n + 1))
                             if lhs != rhs:
                                 witnesses.append({
                                     "bracket": f"[w[{a},{b};{h}], w[{c},{d};{k}]]",
@@ -1027,30 +995,27 @@ def _check_minimal_table(g: WGenerators, witnesses: list):
     M = {(a, b): T[(b + 2, a + 2, 0)] for a in range(n) for b in range(n)}
     zero = reduce_mod_I(Algebra(p).zero())
 
-    def wp(x, y, tag):
-        return _pair_product(x, y, witnesses, tag)
-
     expected = {}
     expected[("A", "B")] = zero
     for a in range(n):
         expected[("A", ("R", a))] = -R[a]
         expected[("A", ("C", a))] = C[a]
-        eB_R = wp(R[a], A, ("B", "R", a))
+        eB_R = w_product(R[a], A)
         for b in range(n):
-            eB_R = eB_R - wp(R[b], M[(b, a)], ("B", "R", a))
+            eB_R = eB_R - w_product(R[b], M[(b, a)])
         expected[("B", ("R", a))] = eB_R
-        eB_C = -wp(A, C[a], ("B", "C", a))
+        eB_C = -w_product(A, C[a])
         for b in range(n):
-            eB_C = eB_C + wp(M[(a, b)], C[b], ("B", "C", a))
+            eB_C = eB_C + w_product(M[(a, b)], C[b])
         expected[("B", ("C", a))] = eB_C
         for b in range(n):
             expected[(("R", a), ("R", b))] = zero
             expected[(("C", a), ("C", b))] = zero
-            eCR = wp(A, M[(a, b)], ("C", a, "R", b))
+            eCR = w_product(A, M[(a, b)])
             if a == b:
                 eCR = eCR + B
             for c in range(n):
-                eCR = eCR - wp(M[(a, c)], M[(c, b)], ("C", a, "R", b))
+                eCR = eCR - w_product(M[(a, c)], M[(c, b)])
             expected[(("C", a), ("R", b))] = eCR
     for i in range(n):
         for j in range(n):
@@ -1086,9 +1051,9 @@ def _check_minimal_table(g: WGenerators, witnesses: list):
 
 
 def relation_table_check(g: WGenerators) -> dict:
-    """Verify the complete displayed commutator table of the family (and,
-    in passing, that the two quotient products agree on every product the
-    table needs)."""
+    """Verify the complete displayed commutator table of the family.  Every
+    product in it is the W-product `w_product`; the tests check it against
+    `ucirc_mul` on every pair of table entries."""
     witnesses = []
     if g.family == "principal":
         _check_principal_table(g, witnesses)
@@ -1138,11 +1103,4 @@ def conjecture_check(p: Partition, g: WGenerators, f2: Optional[int] = None) -> 
         cand = quasideterminant(M, sel, sel.transpose(), L.floor2, w_product,
                                 row_scale=[-2 * q for q in p.parts])
 
-    witnesses = []
-    d = L.reduced.first_diff(cand, L.floor2)
-    if d is not None:
-        i, j, n2, diff = d
-        witnesses.append({"entry": (i + 1, j + 1), "zpow": half_str(n2),
-                          "difference": diff.to_text()})
-    return _report("conjecture", p, L.floor2, not witnesses, witnesses,
-                   family=g.family)
+    return _first_diff_report("conjecture", p, L.floor2, L.reduced, cand, family=g.family)

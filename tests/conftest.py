@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wgl.pyramid import Box, Partition
+from wgl.pyramid import Box, Partition, ScalarMatrix
 from wgl.series import SeriesElem, SeriesMatrix
 from wgl.uea import Algebra
 
@@ -29,6 +29,28 @@ def z_plus_E(alg: Algebra) -> SeriesMatrix:
             row.append(SeriesElem(alg, terms, None))
         rows.append(row)
     return SeriesMatrix(alg, rows)
+
+
+def kazhdan_degree(x):
+    """Smallest Kazhdan filtration degree holding x, doubled: the largest
+    sum of the letters' doubled weights `delta2` over its monomials; None
+    for 0."""
+    if not x.terms:
+        return None
+    delta2 = x.alg.delta2
+    return max(sum(delta2[ell] for ell in m) for m in x.terms)
+
+
+def sandwich(J1: ScalarMatrix, B: SeriesMatrix, I1: ScalarMatrix) -> SeriesMatrix:
+    """J1·B·I1 for scalar matrices J1 and I1."""
+    alg = B.alg
+    return SeriesMatrix.from_scalar(alg, J1).matmul(B).matmul(
+        SeriesMatrix.from_scalar(alg, I1))
+
+
+def opposite_mul(x, y):
+    """The product of the opposite algebra: x·y there is y·x."""
+    return y * x
 
 
 def random_element(alg: Algebra, rng: random.Random, max_deg=3, max_terms=3):

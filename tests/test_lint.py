@@ -9,8 +9,9 @@ when the function, nested scopes included, reads it.  Unpacking targets, loop
 variables and `_` are not checked.  A module-level function or class counts
 as used when some module of the package reads its name, as a name or as an
 attribute, or lists it in `__all__`; `KEEP` names the few that only readers
-outside the package use.  Every string in an `__all__` must name something
-its module defines, assigns or imports at top level.
+outside the package use.  A method other than a dunder counts as used on the
+same terms.  Every string in an `__all__` must name something its module
+defines, assigns or imports at top level.
 """
 
 import ast
@@ -20,9 +21,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wgl"
 
 # Definitions read only from outside src/wgl, each with its reader.
 KEEP = {
-    "sandwich": "tests/test_acceptance.py, criterion 11",
-    "opposite_mul": "tests/test_acceptance.py, criterion 11",
     "_floor2": "perfbench/tracer.py, the floor of invert_matrix",
+    "ucirc_mul": "tests/test_quotient.py, the oracle for w_product on the relation "
+                 "tables; perfbench/tracer.py wraps it by name",
 }
 
 
@@ -99,6 +100,20 @@ def _uncalled(trees: dict) -> list:
             and node.name not in read and node.name not in KEEP]
 
 
+def _unread_methods(trees: dict) -> list:
+    """(module, line, Class.method) of each method, dunders aside, of the
+    classes of the module trees whose name none of them reads and KEEP does
+    not name."""
+    read = set().union(*map(_reads, trees.values()))
+    return [(mod, fn.lineno, f"{cls.name}.{fn.name}")
+            for mod, tree in sorted(trees.items())
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and fn.name not in read and fn.name not in KEEP]
+
+
 def _bound(tree: ast.Module) -> set:
     """Names a module binds at top level: definitions, assignments, imports."""
     out = set()
@@ -141,6 +156,10 @@ def test_every_definition_has_a_reader():
     assert _uncalled(_trees()) == []
 
 
+def test_every_method_has_a_reader():
+    assert _unread_methods(_trees()) == []
+
+
 def test_every_export_is_bound():
     assert _stale_exports(_trees()) == []
 
@@ -170,7 +189,7 @@ def test_the_walk_sees_an_uncalled_definition():
                 "class Listed: pass\n"
                 "def helper(): pass\n"
                 "def orphan(): return helper()\n"
-                "def sandwich(): pass\n",
+                "def _floor2(): pass\n",
         "b.py": "import a\n"
                 "def method_only(): pass\n"
                 "def caller(): return a.orphan\n"
@@ -179,6 +198,23 @@ def test_the_walk_sees_an_uncalled_definition():
     }.items()}
     assert _uncalled(trees) == [("b.py", 2, "method_only"), ("b.py", 3, "caller"),
                                 ("b.py", 4, "C")]
+
+
+def test_the_walk_sees_an_unread_method():
+    trees = {name: ast.parse(text) for name, text in {
+        "a.py": "class A:\n"
+                "    def __init__(self): self.used()\n"
+                "    def used(self): pass\n"
+                "    def orphan(self): pass\n"
+                "    @property\n"
+                "    def size(self): return 0\n"
+                "    class Inner:\n"
+                "        def deep(self): pass\n"
+                "    def _floor2(self): pass\n",
+        "b.py": "from a import A\n"
+                "def f(): return A().size\n",
+    }.items()}
+    assert _unread_methods(trees) == [("a.py", 4, "A.orphan"), ("a.py", 8, "Inner.deep")]
 
 
 def test_the_walk_sees_an_unused_import_and_local():

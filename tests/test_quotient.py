@@ -15,7 +15,7 @@ from wgl.quotient import (
     w_product,
 )
 from wgl.uea import Algebra
-from wgl.walgebra import build_L
+from wgl.walgebra import build_L, family_generators
 
 from conftest import random_element
 
@@ -97,6 +97,27 @@ def test_ordered_product_agrees_on_invariant_pairs(alg2):
     for x in (w1, w0):
         for y in (w1, w0):
             assert ucirc_mul(x, y) == w_product(x, y)
+
+
+@pytest.mark.parametrize("family, parts", [
+    ("principal", (3,)), ("principal", (4,)), ("rectangular", (2, 2)),
+    ("rectangular", (3, 3)), ("minimal", (2, 1)), ("minimal", (2, 1, 1))])
+def test_ordered_product_agrees_on_every_pair_of_table_entries(family, parts):
+    # the oracle for the relation tables, which multiply with w_product only
+    table = list(family_generators(Partition(parts), family).table.values())
+    for x in table:
+        for y in table:
+            assert w_product(x, y) == ucirc_mul(x, y)
+
+
+def test_ordered_product_differs_on_a_non_invariant_pair(alg21):
+    # two degree-1/2 letters of (2,1) whose bracket has character 1: the
+    # Weyl blocks multiply in opposite orders, so the products differ by it
+    x, y = (reduce_mod_I(alg21.gen(a, b)) for a, b in
+            (((1, 1), (2, 1)), ((2, 1), (1, 2))))
+    assert all(alg21.deg2[ell] == 1 for e in (x, y) for (ell,) in e.terms)
+    assert ad_invariant_witness(x) is not None and ad_invariant_witness(y) is not None
+    assert w_product(x, y) - ucirc_mul(x, y) == reduce_mod_I(alg21.one())
 
 
 def test_invariants_commute_in_rank_one_quotient(alg2):

@@ -12,16 +12,14 @@ from wgl.series import (
     inverse_mixed_identity_check,
     invert_matrix,
     noncomm_det,
-    opposite_mul,
     quasideterminant,
     quasideterminant_by_definition,
-    sandwich,
     solve,
     yangian_identity_check,
 )
 from wgl.uea import Algebra
 
-from conftest import gl_algebra, gl_gen, random_element, z_plus_E
+from conftest import gl_algebra, gl_gen, opposite_mul, random_element, sandwich, z_plus_E
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +95,9 @@ def test_matrix_inverse_of_polynomial_matrix(gl2, zE2):
     inv = invert_matrix(zE2, f2)
     prod = zE2.matmul(inv, floor2=f2)
     ident = SeriesMatrix.identity(gl2, 2)
-    assert prod.agrees_with(ident, f2)
+    assert prod.first_diff(ident, f2) is None
     prod2 = inv.matmul(zE2, floor2=f2)
-    assert prod2.agrees_with(ident, f2)
+    assert prod2.first_diff(ident, f2) is None
 
 
 def test_matrix_inverse_exact_for_unitriangular(gl2):
@@ -109,7 +107,7 @@ def test_matrix_inverse_exact_for_unitriangular(gl2):
     M = SeriesMatrix(gl2, [[one, SeriesElem.from_element(gl2, x)], [zero, one]])
     inv = invert_matrix(M)
     assert inv.data[0][1].coeff2(0) == -x
-    assert M.matmul(inv).agrees_with(SeriesMatrix.identity(gl2, 2))
+    assert M.matmul(inv).first_diff(SeriesMatrix.identity(gl2, 2)) is None
 
 
 def test_solve_keeps_T_whole(gl2):
@@ -139,8 +137,8 @@ def test_a_decaying_pivot_with_no_floor_fails_before_any_product():
     with pytest.raises(ArithmeticError, match="needs a floor"):
         invert_matrix(A, None, mul)
     assert calls == []
-    assert A.matmul(invert_matrix(A, -6, mul), floor2=-6).agrees_with(
-        SeriesMatrix.identity(alg, 2), -6)
+    assert A.matmul(invert_matrix(A, -6, mul), floor2=-6).first_diff(
+        SeriesMatrix.identity(alg, 2), -6) is None
 
 
 def test_a_matrix_known_only_above_its_pivot_is_refused():
@@ -151,6 +149,17 @@ def test_a_matrix_known_only_above_its_pivot_is_refused():
     A = SeriesMatrix(alg, [[one, unknown], [unknown, one]])
     with pytest.raises(ArithmeticError, match="do not settle"):
         invert_matrix(A, -4)
+
+
+def test_a_vanishing_power_carries_its_floor_into_the_solution():
+    # 1 + O(z^{-1/2}) over (2): T is zero but known only above z^{-1/2}, so
+    # the inverse is 1 + O(z^{-1/2}) with no floor asked for, as with one
+    alg = Algebra(Partition((2,)))
+    A = SeriesMatrix(alg, [[SeriesElem(alg, {0: alg.one()}, -1)]])
+    got = invert_matrix(A)
+    assert got.data[0][0].terms == {0: alg.one()} and got.data[0][0].floor2 == -1
+    deep = invert_matrix(A, -6)
+    assert deep.data[0][0].floor2 == -1 and deep.first_diff(got) is None
 
 
 def _geometric_solve(A, Y, mul=None, f2=None, row_scale=None, col_scale=None):
@@ -260,14 +269,14 @@ def test_quasideterminant_methods_agree(gl3, zE3):
     # the corner of z + E tops out at z^1
     qd = quasideterminant_by_definition(zE3, I1, J1, f2, 2)
     assert qs.max_top2() == 2
-    assert qd.agrees_with(qs, f2)
+    assert qd.first_diff(qs, f2) is None
     assert {e.floor2 for q in (qs, qd) for row in q.data for e in row} == {f2}
 
 
 def test_quasideterminant_of_full_selector_is_matrix_itself(gl2, zE2):
     ident = ScalarMatrix.identity(2)
     q = quasideterminant(zE2, ident, ident, -4)
-    assert q.agrees_with(zE2, -4)
+    assert q.first_diff(zE2, -4) is None
 
 
 # ---------------------------------------------------------------------------
