@@ -13,20 +13,27 @@ floors) is held as its doubled int; `parse_half2` reads one from text and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
+# ASCII digits only: int() and Fraction() would also read "1_0" as 10 and
+# Arabic-Indic or fullwidth digits as their values, and Fraction reads "nan".
+_HALF_TEXT = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)", re.ASCII)
+_PART_TEXT = re.compile(r"[+-]?\d+", re.ASCII)
+
+
 def parse_half2(text: str) -> int:
-    """Half-integer text such as "-8" or "-15/2" as its doubled int;
+    """Half-integer text such as "-8", "-15/2" or "-7.5" as its doubled int;
     ValueError for any other text.
 
-    Text with an exponent marker or over 32 characters is refused before
-    `Fraction` sees it, since Fraction expands "1e30000000" digit by digit.
+    Only ASCII digits with an optional sign are read, and text over 32
+    characters is refused before `Fraction` sees it.
     """
     body = text.strip()
-    if len(body) > 32 or "e" in body.lower():
+    if len(body) > 32 or not _HALF_TEXT.fullmatch(body):
         raise ValueError(f"{text!r} is not a floor of the form n or n/d "
                          "with at most 32 characters")
     try:
@@ -70,11 +77,10 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        try:
-            parts = tuple(int(tok) for tok in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad partition string {text!r}") from exc
-        return cls(parts)
+        toks = text.split(",")
+        if not all(_PART_TEXT.fullmatch(tok.strip()) for tok in toks):
+            raise ValueError(f"bad partition string {text!r}")
+        return cls(tuple(map(int, toks)))
 
     @property
     def N(self) -> int:

@@ -350,7 +350,9 @@ def w_membership_check(L: LOperator) -> dict:
     """Every coefficient of L(z) must commute with g_{>=1/2} inside the
     quotient — the membership criterion for the invariant subalgebra.
 
-    The test reads the reduced coefficients: the verdict is the same for
+    `ad_invariant_witness` tests each coefficient against the Lie generators
+    of g_{>=1/2} only, and a witness names the first generator that moves
+    it.  The test reads the reduced coefficients: the verdict is the same for
     every lift of one.  Two lifts differ by some y = sum_i u_i (m_i - chi(m_i))
     in I, and for a letter a of degree >= 1/2, [a, y]·1 = a·(y·1) - y·(a·1)
     = -y·(a·1).  If a has degree >= 1, a·1 = chi(a) and y·1 = 0.  If a has

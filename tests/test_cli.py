@@ -115,6 +115,18 @@ def test_bad_partition_is_usage_error(capsys):
     assert code == 2 and "bad partition" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--partition", "2", "--floor", "-5_0"), "error: '-5_0' is not a floor"),
+    (("--partition", "2", "--floor", "-\u0665"), "error: '-\u0665' is not a floor"),
+    (("--partition", "2", "--floor", "nan"), "error: 'nan' is not a floor"),
+    (("--partition", "2", "--floor", "inf"), "error: 'inf' is not a floor"),
+    (("--partition", "1_0"), "error: bad partition string '1_0'\n"),
+])
+def test_separators_and_non_ascii_digits_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, "L", *argv)
+    assert (code, out) == (2, "") and err.startswith(message)
+
+
 @pytest.mark.parametrize("command", ["L", "generators", "relations", "conjecture"])
 def test_missing_partition_is_usage_error(capsys, command):
     code, out, err = run(capsys, command)

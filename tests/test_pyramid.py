@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,9 +35,32 @@ def test_parse_half2_reads_integers_and_halves():
         parse_half2("x")
 
 
+@pytest.mark.parametrize("text, n2", [
+    ("+3", 6), ("-7.5", -15), (".5", 1), ("1.", 2), ("\t-15/2\n", -15)])
+def test_parse_half2_keeps_its_forms(text, n2):
+    assert parse_half2(text) == n2
+
+
+@pytest.mark.parametrize("text", [
+    "-5_0", "1_0/2", "-\u0665", "\u0663", "\uff11", "nan", "inf", "-Infinity",
+    "1/-2", "-3/-2", "1 / 2", "0x10", "--2", "", "."])
+def test_parse_half2_reads_ascii_digits_only(text):
+    # int() and Fraction() read "_" separators and non-ASCII digits
+    with pytest.raises(ValueError, match="is not a floor of the form n or n/d"):
+        parse_half2(text)
+
+
+# the digits int() and Fraction() accept: ASCII, the "_" separator, and
+# Arabic-Indic, fullwidth and Devanagari ones
+_DIGIT_RUN = st.text(st.sampled_from("0123456789_\u0663\u0665\uff11\u0967"),
+                     max_size=4)
+_ASCII_HALF = set("+-0123456789./")
+
 _FLOOR_TEXT = st.one_of(
     st.text(),
     st.from_regex(r"\s*[+-]?\d{0,3}([./]\d{0,3})?([eE][+-]?\d)?\s*", fullmatch=True),
+    st.tuples(st.sampled_from(["", "-", "+"]), _DIGIT_RUN,
+              st.sampled_from(["", "/", "."]), _DIGIT_RUN).map("".join),
 )
 
 
@@ -47,17 +72,28 @@ def test_parse_half2_returns_an_int_or_raises_value_error(text):
     except ValueError:
         return
     assert type(n2) is int
+    body = text.strip()
+    assert set(body) <= _ASCII_HALF and Fraction(body) == Fraction(n2, 2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(st.text(), st.lists(st.integers(-2, 9), max_size=4).map(
-    lambda parts: ",".join(map(str, parts)))))
+@given(st.one_of(
+    st.text(),
+    st.lists(st.integers(-2, 9), max_size=4).map(lambda parts: ",".join(map(str, parts))),
+    st.lists(_DIGIT_RUN, max_size=4).map(",".join)))
 def test_partition_parse_returns_a_partition_or_raises_value_error(text):
     try:
         p = Partition.parse(text)
     except ValueError:
         return
     assert isinstance(p, Partition) and all(type(q) is int for q in p.parts)
+    assert all(set(tok.strip()) <= set("+0123456789") for tok in text.split(","))
+
+
+@pytest.mark.parametrize("text", ["1_0", "2,1_0", "\u0663", "\uff12,1", "2.0", "0x2"])
+def test_partition_parse_reads_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="^bad partition string"):
+        Partition.parse(text)
 
 
 def test_half_str_renders_doubled_ints():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wgl import uea
+from wgl import quotient, uea
 from wgl.pyramid import Box, Partition
 from wgl.quotient import (
     MElement,
@@ -14,7 +14,7 @@ from wgl.quotient import (
     w_commutator,
     w_product,
 )
-from wgl.uea import Algebra
+from wgl.uea import Algebra, _Space, _fold
 from wgl.walgebra import build_L, family_generators
 
 from conftest import random_element
@@ -155,6 +155,11 @@ def test_action_is_the_reduced_lift_product(parts):
         assert w_product(reduce_mod_I(x), v) == reduce_mod_I(reduce_mod_I(x) * v)
 
 
+def _positive_letters(alg):
+    """Every letter of degree >= 1/2: n = g_{>=1/2} spanned letter by letter."""
+    return [lid for lid, c in enumerate(alg.cls) if c]
+
+
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
 def test_ad_witness_agrees_with_the_commutator_oracle(parts):
     # (3,1) has a degree->=1 letter with chi = 0, e[(1,1),(1,3)]
@@ -165,15 +170,94 @@ def test_ad_witness_agrees_with_the_commutator_oracle(parts):
     coeffs.append(coeffs[0] + alg.gen(Box(1, 1), Box(1, 1)))
     for lift in coeffs:
         v = reduce_mod_I(lift)
-        first = None
-        for lid in ad_letters(alg):
+        moved = set()
+        for lid in _positive_letters(alg):
             a = alg.gen_by_id(lid)
             oracle = reduce_mod_I(a.commutator(lift))
             assert act(a, v) - act(lift, reduce_mod_I(a)) == oracle
-            if first is None and not oracle.is_zero():
-                first = alg.letters[lid]
+            if not oracle.is_zero():
+                moved.add(lid)
+        # None exactly when no letter of n moves the coefficient; otherwise
+        # the first generator that does
+        first = next((alg.letters[g] for g in ad_letters(alg) if g in moved), None)
+        assert (first is None) == (not moved)
         assert ad_invariant_witness(lift) == first
-    assert first is not None  # the perturbed coefficient is caught
+    assert moved  # the perturbed coefficient is caught
+
+
+@pytest.mark.parametrize("parts, letters, gens", [
+    ((2, 1), 3, 2), ((3, 1), 5, 4), ((2, 2), 4, 4), ((2, 1, 1), 5, 4),
+    ((2, 2, 1), 8, 4), ((3, 2), 10, 4), ((3, 3), 12, 8), ((3, 1, 1), 7, 6)])
+def test_membership_tests_generators_of_the_positive_part(parts, letters, gens):
+    alg = Algebra(Partition(parts))
+    n = set(_positive_letters(alg))
+    assert (len(n), len(ad_letters(alg))) == (letters, gens)
+    # brackets of letters of n are letters of n; the generators reach them all
+    span = set(ad_letters(alg))
+    grown = True
+    while grown:
+        new = {t for x in span for y in span for t, _ in alg._comm_ids(x, y)}
+        grown = not new <= span
+        span |= new
+    assert span == n
+
+
+def _flat(grouped, weyl):
+    """The terms of a {u0: {id of q: coeff}} map of the prefix route."""
+    return {u0 + weyl.words[qi]: c for u0, qs in grouped.items()
+            for qi, c in qs.items() if c}
+
+
+def _coefficients(parts, f2, extra=3, seed=0):
+    """The reduced L(z) coefficients of a shape, and `extra` of them moved
+    by a random element."""
+    L = build_L(Partition(parts), f2)
+    alg = L.reduced.alg
+    coeffs = [se.terms[n2] for row in L.reduced.data for se in row
+              for n2 in se.exponents2()]
+    rng = random.Random(seed)
+    coeffs += [reduce_mod_I(c + random_element(alg, rng)) for c in coeffs[:extra]]
+    return alg, coeffs
+
+
+@pytest.mark.parametrize("parts, f2", [
+    ((2, 1), -6), ((3, 1), -6), ((2, 2), -6), ((2, 1, 1), -4),
+    ((2, 2, 1), -2), ((3, 3), -2)])
+def test_prefix_route_agrees_with_the_fold_oracle(parts, f2):
+    alg, coeffs = _coefficients(parts, f2, seed=sum(parts))
+    fresh = _Space(alg._comm_ids, alg._act_cache.seed)
+    for v in coeffs:
+        weyl = quotient._Weyl(alg)
+        groups = quotient._prefix_groups(alg, v.terms, weyl)
+        assert _flat(groups, weyl) == v.terms
+        for a in _positive_letters(alg):
+            left = quotient._left_action(alg, a, groups, weyl)
+            assert _flat(left, weyl) == _fold({(a,): 1}, v.terms, fresh)
+            if alg.cls[a] == 1:
+                right = quotient._right_action(a, groups, weyl)
+                assert _flat(right, weyl) == _fold(v.terms, {(a,): 1}, fresh)
+
+
+def test_a_perturbed_coefficient_is_caught_by_a_generator():
+    alg, (v, *_) = _coefficients((2, 1, 1), -4, extra=0)
+    assert ad_invariant_witness(v) is None
+    lift = v + alg.gen(Box(1, 1), Box(1, 1))
+    wit = ad_invariant_witness(lift)
+    assert wit is not None and alg.letter_id[wit] in ad_letters(alg)
+    assert not reduce_mod_I(alg.gen(*wit).commutator(lift)).is_zero()
+
+
+def test_membership_verdicts_survive_a_cap_drop(monkeypatch):
+    alg, coeffs = _coefficients((2, 1, 1), -4, seed=5)
+    want = [ad_invariant_witness(v) for v in coeffs]
+    assert None in want and any(w is not None for w in want)
+    clears = []
+    clear = uea._Space.clear
+    monkeypatch.setattr(uea._Space, "clear",
+                        lambda space: clears.append(space) or clear(space))
+    monkeypatch.setattr(uea, "_LM_CACHE_CAP", 40)
+    assert [ad_invariant_witness(v) for v in coeffs] == want
+    assert any(space is alg._lm_cache for space in clears)
 
 
 def test_action_memo_is_dropped_past_the_cap(monkeypatch):

@@ -200,16 +200,19 @@ def test_kernel_agrees_with_a_fresh_space(parts):
 
 
 def test_action_memo_of_a_membership_check_stays_small():
-    # flat rows: (2,1,1) at -5 leaves 68,837 entries, 17.3 MB as pair tuples
+    # the check straightens a·u0 in the U(g) memo and leaves the action memo
+    # alone; (2,1,1) at -5 adds 9,539 U(g) entries, about 1.2 MB of rows
     p = Partition((2, 1, 1))
-    space = Algebra(p)._act_cache
+    alg = Algebra(p)
+    L = build_L(p, -10)
+    acts = len(alg._act_cache)
+    space = alg._lm_cache
     space.clear()
-    assert w_membership_check(build_L(p, -10))["pass"]
-    # a row's size counts any tuple nested in it
-    size = sum(sys.getsizeof(row) + sum(sys.getsizeof(got) + sum(
-        sys.getsizeof(x) for x in got if type(x) is tuple) for got in row.values())
-        for row in space.rows.values())
-    assert size < 10_000_000, size
+    assert w_membership_check(L)["pass"]
+    assert len(alg._act_cache) == acts
+    size = sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row.values()))
+               for row in space.rows.values())
+    assert len(space) < 20_000 and size < 3_000_000, (len(space), size)
 
 
 def test_results_survive_a_cap_drop(monkeypatch):
