@@ -25,6 +25,7 @@ from .pyramid import Partition, parse_half2
 from .quotient import MElement, reduce_mod_I
 from .uea import Algebra, UEAElement, element_from_json
 from .walgebra import (
+    FAMILIES,
     WGenerators,
     build_L,
     capelli_suite,
@@ -40,7 +41,6 @@ from .walgebra import (
     _report,
 )
 
-_FAMILIES = ("principal", "rectangular", "minimal")
 # Largest N = p_1 + ... + p_r accepted, checked before U(gl_N) builds its N^2
 # letters; twice the largest N measured, 6 for (3,3).
 _MAX_PARTITION_N = 12
@@ -376,19 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--n", type=int, default=None,
                     help="matrix size for capelli/identities")
-    sp.add_argument("--family", choices=_FAMILIES, default=None,
+    sp.add_argument("--family", choices=FAMILIES, default=None,
                     help="generator family for premet (default: inferred)")
     sp.set_defaults(fn=_cmd_check)
 
     sp = sub.add_parser("generators", help="print a closed generator family")
     _add_common(sp, floor=False)
-    sp.add_argument("--family", choices=_FAMILIES, default=None,
+    sp.add_argument("--family", choices=FAMILIES, default=None,
                     help="family name (default: inferred from the partition)")
     sp.set_defaults(fn=_cmd_generators)
 
     sp = sub.add_parser("relations", help="verify a family's commutator table")
     _add_common(sp, floor=False)
-    sp.add_argument("--family", choices=_FAMILIES, default=None)
+    sp.add_argument("--family", choices=FAMILIES, default=None)
     sp.set_defaults(fn=_cmd_relations)
 
     sp = sub.add_parser("conjecture",
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--candidates",
                        help="JSON file with a generator table")
-    group.add_argument("--family", choices=_FAMILIES, default=None)
+    group.add_argument("--family", choices=FAMILIES, default=None)
     sp.set_defaults(fn=_cmd_conjecture)
 
     return ap

@@ -21,8 +21,9 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 # ASCII digits only: int() and Fraction() would also read "1_0" as 10 and
 # Arabic-Indic or fullwidth digits as their values, and Fraction reads "nan".
+# A part has at most 9 digits, so int() never meets its 4300-digit limit.
 _HALF_TEXT = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)", re.ASCII)
-_PART_TEXT = re.compile(r"[+-]?\d+", re.ASCII)
+_PART_TEXT = re.compile(r"[+-]?\d{1,9}", re.ASCII)
 
 
 def parse_half2(text: str) -> int:
@@ -154,25 +155,13 @@ def shift_matrix(p: Partition) -> "ScalarMatrix":
     return ScalarMatrix.diag(diag)
 
 
-def structure_matrices(p: Partition) -> dict:
-    """The constant matrices F, I1, J1 in the box order.
-
-    F has a 1 in row (i,h+1), column (i,h); I1 selects the columns (i,1) and
-    J1 the rows (i,p_1), for i up to the multiplicity of the largest part.
-    """
+def corner_positions(p: Partition) -> tuple:
+    """The corner indices (rows, cols) of L(z) in the box order: the
+    positions of the first boxes (i,1) and of the last boxes (i,p_1), for i
+    up to the multiplicity of the largest part."""
     pos = box_position(p)
-    N, r1, p1 = p.N, p.r1, p.parts[0]
-    F = [[0] * N for _ in range(N)]
-    for i in range(1, p.r + 1):
-        for h in range(1, p.parts[i - 1]):
-            F[pos[Box(i, h + 1)]][pos[Box(i, h)]] = 1
-    I1 = [[0] * r1 for _ in range(N)]
-    J1 = [[0] * N for _ in range(r1)]
-    for i in range(1, r1 + 1):
-        I1[pos[Box(i, 1)]][i - 1] = 1
-        J1[i - 1][pos[Box(i, p1)]] = 1
-    return {"F": ScalarMatrix.from_rows(F), "I1": ScalarMatrix.from_rows(I1),
-            "J1": ScalarMatrix.from_rows(J1)}
+    longest = range(1, p.r1 + 1)
+    return [pos[Box(i, 1)] for i in longest], [pos[Box(i, p.parts[0])] for i in longest]
 
 
 def _frac(x) -> Union[int, Fraction]:
@@ -201,10 +190,6 @@ class ScalarMatrix:
         return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
-    def identity(cls, n: int) -> "ScalarMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def diag(cls, entries: Iterable) -> "ScalarMatrix":
         entries = list(entries)
         n = len(entries)
@@ -226,49 +211,26 @@ class ScalarMatrix:
             )
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(
-            self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
-    def _row_reduce(self):
-        # returns (reduced rows, pivot columns, transform applied to an identity)
-        m = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(self.rows)]
-             for i, row in enumerate(self.data)]
-        pivots = []
-        row = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(row, self.rows) if m[r][col] != 0), None)
-            if pivot is None:
-                continue
-            m[row], m[pivot] = m[pivot], m[row]
-            inv = 1 / m[row][col]
-            m[row] = [x * inv for x in m[row]]
-            for r in range(self.rows):
-                if r != row and m[r][col] != 0:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-            pivots.append(col)
-            row += 1
-            if row == self.rows:
-                break
-        return m, pivots
-
-    def rank(self) -> int:
-        return len(self._row_reduce()[1])
-
     def inverse(self) -> "ScalarMatrix":
-        if self.rows != self.cols:
+        """The inverse by Gauss-Jordan elimination; ValueError if the matrix
+        is not square or is singular."""
+        n = self.rows
+        if n != self.cols:
             raise ValueError("only square matrices are invertible")
-        m, pivots = self._row_reduce()
-        if len(pivots) != self.rows:
-            raise ValueError("matrix is singular")
-        inv = [row[self.cols:] for row in m]
-        return ScalarMatrix(self.rows, self.cols, inv)
+        m = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
+             for i, row in enumerate(self.data)]
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+            if pivot is None:
+                raise ValueError("matrix is singular")
+            m[col], m[pivot] = m[pivot], m[col]
+            inv = 1 / m[col][col]
+            m[col] = [x * inv for x in m[col]]
+            for r in range(n):
+                if r != col and m[r][col] != 0:
+                    factor = m[r][col]
+                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+        return ScalarMatrix(n, n, [row[n:] for row in m])
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)

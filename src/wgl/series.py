@@ -107,10 +107,6 @@ class SeriesElem:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, alg: Algebra, f2: Optional[int] = None) -> "SeriesElem":
-        return cls(alg, {}, f2)
-
-    @classmethod
     def from_element(cls, alg: Algebra, elem: UEAElement) -> "SeriesElem":
         """The exact constant series elem."""
         return cls(alg, {0: elem})
@@ -158,10 +154,6 @@ class SeriesElem:
     def __neg__(self):
         return SeriesElem(self.alg, {n2: -c for n2, c in self.terms.items()}, self.floor2)
 
-    def scale(self, c) -> "SeriesElem":
-        return SeriesElem(self.alg, {n2: x.scale(c) for n2, x in self.terms.items()},
-                          self.floor2)
-
     def shift2(self, k2: int) -> "SeriesElem":
         """Multiply by the scalar monomial z^{k2/2}."""
         f2 = None if self.floor2 is None else self.floor2 + k2
@@ -202,11 +194,6 @@ class SeriesElem:
                 _add_into(acc.setdefault(k2, {}), mul(cx, cy).terms)
         terms = {k2: UEAElement(self.alg, d) for k2, d in acc.items()}
         return SeriesElem(self.alg, terms, rf2)
-
-    def __mul__(self, other):
-        if isinstance(other, SeriesElem):
-            return self.mul(other)
-        return NotImplemented
 
     def truncate2(self, f2: Optional[int]) -> "SeriesElem":
         nf2 = _add_floor2(self.floor2, f2)
@@ -290,10 +277,6 @@ class SeriesMatrix:
         return cls(alg, [[SeriesElem(alg, {exp2: alg.scalar(sm[i, j])} if sm[i, j] else {})
                           for j in range(sm.cols)] for i in range(sm.rows)])
 
-    def __getitem__(self, ij) -> SeriesElem:
-        i, j = ij
-        return self.data[i][j]
-
     def __add__(self, other):
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
@@ -324,11 +307,6 @@ class SeriesMatrix:
             out.append(row)
         return SeriesMatrix(self.alg, out)
 
-    def __matmul__(self, other):
-        if isinstance(other, SeriesMatrix):
-            return self.matmul(other)
-        return NotImplemented
-
     def scale_rows(self, scales: Sequence[int]) -> "SeriesMatrix":
         """Multiply row i by z^{scales[i]/2}."""
         return SeriesMatrix(self.alg, [[e.shift2(scales[i]) for e in row]
@@ -356,8 +334,14 @@ class SeriesMatrix:
         tops = [t for t in tops if t is not None]
         return max(tops) if tops else None
 
-    def coeff_matrix2(self, n2: int) -> list:
-        return [[e.coeff2(n2) for e in row] for row in self.data]
+    def scalar_matrix2(self, n2: int) -> Optional[ScalarMatrix]:
+        """The z^{n2/2} coefficients as a ScalarMatrix, an absent one read as
+        0; None if any of them holds a letter."""
+        cs = [[e.terms.get(n2) for e in row] for row in self.data]
+        if any(c is not None and c.terms.keys() - {()} for row in cs for c in row):
+            return None
+        return ScalarMatrix.from_rows([[0 if c is None else c.terms.get((), 0) for c in row]
+                                       for row in cs])
 
     def scalar_coeff_matrix2(self, n2: int) -> ScalarMatrix:
         """Scalar parts of the z^{n2/2} coefficients."""
@@ -378,58 +362,33 @@ class SeriesMatrix:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [[e.to_json_obj() for e in row] for row in self.data]}
 
-    def to_text(self) -> str:
-        lines = []
-        for i, row in enumerate(self.data):
-            for j, e in enumerate(row):
-                lines.append(f"[{i + 1},{j + 1}] {e.to_text()}")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # inversion
 
 
 def _detect_pivot(M: SeriesMatrix):
-    """Find an invertible scalar pivot: returns (pivot_exp2, C, decaying).
+    """Find an invertible scalar pivot: returns (pivot_exp2, C^{-1}, decaying).
 
     Tries the top-exponent coefficient matrix first (T then decays, and
     `solve` divides); falls back to the scalar part of the z^0
     coefficients.
     """
-    n = M.rows
     d2 = M.max_top2()
     if d2 is None:
         raise ArithmeticError("cannot invert the zero matrix")
-    top_ok = True
-    top_rows = []
-    for row in M.data:
-        r = []
-        for e in row:
-            c = e.terms.get(d2)
-            if c is None:
-                r.append(0)
-            elif set(c.terms) <= {()}:
-                r.append(c.terms.get((), 0))
-            else:
-                top_ok = False
-                break
-        if not top_ok:
-            break
-        top_rows.append(r)
-    if top_ok:
-        C = ScalarMatrix.from_rows(top_rows)
-        if C.rank() == n:
-            return d2, C, True
+    C = M.scalar_matrix2(d2)
+    if C is not None:
+        try:
+            return d2, C.inverse(), True
+        except ValueError:      # singular
+            pass
     try:
-        C0 = M.scalar_coeff_matrix2(0)
-    except ValueError:
-        C0 = None
-    if C0 is not None and C0.rank() == n:
-        return 0, C0, False
-    raise ArithmeticError(
-        "no invertible scalar pivot: neither the top coefficient matrix nor the "
-        "scalar z^0 part is invertible (consider row/column scaling)")
+        return 0, M.scalar_coeff_matrix2(0).inverse(), False
+    except ValueError:          # singular, or known only above z^0
+        raise ArithmeticError(
+            "no invertible scalar pivot: neither the top coefficient matrix nor the "
+            "scalar z^0 part is invertible (consider row/column scaling)") from None
 
 
 def _divide(negT: SeriesMatrix, Y: SeriesMatrix, mul: MulFn, need: list) -> SeriesMatrix:
@@ -502,12 +461,12 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
         M, Y0 = M.scale_rows(row_scale), Y0.scale_rows(row_scale)
     if col_scale is not None:
         M = M.scale_cols(col_scale)
-    d2, C, decaying = _detect_pivot(M)
+    d2, Cinv, decaying = _detect_pivot(M)
     if decaying and f2 is None and d2:
         raise ArithmeticError(f"the pivot at z^{half_str(d2)} leaves an endless "
                               "series: solving needs a floor")
 
-    pre = SeriesMatrix.from_scalar(alg, C.inverse(), -d2)
+    pre = SeriesMatrix.from_scalar(alg, Cinv, -d2)
     negT = SeriesMatrix.identity(alg, n) - pre.matmul(M, mul)
     Y0 = pre.matmul(Y0, mul)
     if decaying and f2 is not None:
@@ -566,21 +525,6 @@ def noncomm_det(A: SeriesMatrix, mode: str = "row") -> SeriesElem:
     return total
 
 
-def _selector_indices(sel: ScalarMatrix, by_cols: bool):
-    """Unit-selector index list: column n of I1 (row m of J1) picks one index."""
-    out = []
-    outer = range(sel.cols if by_cols else sel.rows)
-    inner = range(sel.rows if by_cols else sel.cols)
-    for n in outer:
-        hits = [i for i in inner
-                if (sel[i, n] if by_cols else sel[n, i]) != 0]
-        vals = [(sel[i, n] if by_cols else sel[n, i]) for i in hits]
-        if len(hits) != 1 or vals != [1]:
-            return None
-        out.append(hits[0])
-    return out
-
-
 def _deliver(out: SeriesMatrix, f2: Optional[int]) -> SeriesMatrix:
     """out truncated at the doubled floor f2; ArithmeticError if an entry is
     known only above f2."""
@@ -594,19 +538,23 @@ def _deliver(out: SeriesMatrix, f2: Optional[int]) -> SeriesMatrix:
     return out.truncate2(f2)
 
 
-def _check_selectors(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix) -> None:
+def _check_corner(A: SeriesMatrix, rows: Sequence[int], cols: Sequence[int]) -> None:
     if A.rows != A.cols:
         raise ValueError("matrix not square")
-    if I1.rows != A.rows or J1.cols != A.rows or I1.cols != J1.rows:
-        raise ValueError("selector shape mismatch")
+    for ix in (rows, cols):
+        if len(ix) != len(rows) or len(set(ix)) != len(ix) \
+                or not all(0 <= i < A.rows for i in ix):
+            raise ValueError(f"corner indices {list(rows)}, {list(cols)}: need two lists "
+                             f"of one length, without repeats, in 0..{A.rows - 1}")
 
 
-def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
+def quasideterminant(A: SeriesMatrix, rows: Sequence[int], cols: Sequence[int],
                      f2: Optional[int] = None, mul: Optional[MulFn] = None,
                      row_scale=None, col_scale=None) -> SeriesMatrix:
-    """Generalized quasideterminant (J1·A^{-1}·I1)^{-1}, by the submatrix
-    route A_IJ - A_IJc·((A_IcJc)^{-1}·A_IcJ), where I and J are the indices
-    that the unit selectors I1 and J1 pick.
+    """Generalized quasideterminant |A|_{I1 J1} = (J1·A^{-1}·I1)^{-1}, where
+    the columns of I1 are the unit vectors at `rows` and the rows of J1 the
+    unit vectors at `cols`, by the submatrix route
+    A_IJ - A_IJc·((A_IcJc)^{-1}·A_IcJ) with I = rows and J = cols.
 
     row_scale / col_scale hold one doubled exponent per row / column of A;
     the entries on the complements Ic / Jc scale the inner `solve`.  The
@@ -617,40 +565,36 @@ def quasideterminant(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
     (A_IcJc)^{-1}·A_IcJ to f - top(Q), where Q = A_IJc, and its product
     with Q to f.  A result that comes back short of f raises ArithmeticError.
     """
-    _check_selectors(A, I1, J1)
-    rowsI = _selector_indices(I1, by_cols=True)
-    colsJ = _selector_indices(J1, by_cols=False)
-    if rowsI is None or colsJ is None:
-        raise ValueError("the submatrix route needs unit selector matrices")
-    compI = [i for i in range(A.rows) if i not in rowsI]
-    compJ = [j for j in range(A.cols) if j not in colsJ]
-    P = A.submatrix(rowsI, colsJ)
+    _check_corner(A, rows, cols)
+    compI = [i for i in range(A.rows) if i not in rows]
+    compJ = [j for j in range(A.cols) if j not in cols]
+    P = A.submatrix(rows, cols)
     if not compI:
         return _deliver(P, f2)
-    Q = A.submatrix(rowsI, compJ)
-    S = solve(A.submatrix(compI, compJ), A.submatrix(compI, colsJ), mul,
+    Q = A.submatrix(rows, compJ)
+    S = solve(A.submatrix(compI, compJ), A.submatrix(compI, cols), mul,
               None if f2 is None else f2 - (Q.max_top2() or 0),
               None if row_scale is None else [row_scale[i] for i in compI],
               None if col_scale is None else [col_scale[j] for j in compJ])
     return _deliver(P - Q.matmul(S, mul, f2), f2)
 
 
-def quasideterminant_by_definition(A: SeriesMatrix, I1: ScalarMatrix, J1: ScalarMatrix,
-                                   f2: int, top2: int) -> SeriesMatrix:
-    """(J1·A^{-1}·I1)^{-1} as defined, in the U(g) product: the oracle for
-    `quasideterminant`.
+def quasideterminant_by_definition(A: SeriesMatrix, rows: Sequence[int],
+                                   cols: Sequence[int], f2: int, top2: int) -> SeriesMatrix:
+    """(J1·A^{-1}·I1)^{-1} as defined, with I1 and J1 as in
+    `quasideterminant`, in the U(g) product: the oracle for that route.
 
     top2 is the doubled top exponent of the result, so the sandwich
     S = J1·A^{-1}·I1 tops out at z^{-top2/2}, and its inverse to f2 needs S
-    to f2 - 2·top2.  One solve gives X = A^{-1}·I1 to f2 - 2·max(0, top2),
-    and S = J1·X is inverted to f2.  A top2 below the true top leaves S too
-    short: the floors propagate, and the result raises ArithmeticError.
+    to f2 - 2·top2.  One solve against the identity columns at `rows` gives
+    X = A^{-1}·I1 to f2 - 2·max(0, top2), and S, the rows `cols` of X, is
+    inverted to f2.  A top2 below the true top leaves S too short: the
+    floors propagate, and the result raises ArithmeticError.
     """
-    _check_selectors(A, I1, J1)
-    alg = A.alg
-    X = solve(A, SeriesMatrix.from_scalar(alg, I1), None, f2 - 2 * max(0, top2))
-    S = SeriesMatrix.from_scalar(alg, J1).matmul(X)
-    return _deliver(invert_matrix(S, f2), f2)
+    _check_corner(A, rows, cols)
+    I1 = SeriesMatrix.identity(A.alg, A.rows).submatrix(range(A.rows), rows)
+    X = solve(A, I1, None, f2 - 2 * max(0, top2))
+    return _deliver(invert_matrix(X.submatrix(cols, range(len(rows))), f2), f2)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,10 @@ Coeff = Union[int, Fraction]
 
 # Straightening-memo entries are cheap to recompute but can pile up on long
 # runs; past this many a space is cleared wholesale (only between folds,
-# never mid-walk).  An entry with its flat row takes about 122 bytes (the
-# (2,1,1) action memo after its membership check at -5), so about 370 MB.
+# never mid-walk).  An entry with its flat row and its share of the intern
+# table takes about 180 bytes (the memory freed by clearing the (2,1,1)
+# action memo, 41,068 entries, after `check yangian --partition 2,1,1
+# --floor -5`), so about 550 MB.
 _LM_CACHE_CAP = 3_000_000
 
 

@@ -31,11 +31,10 @@ from .pyramid import (
     Box,
     Partition,
     ScalarMatrix,
-    box_position,
     boxes,
+    corner_positions,
     half_str,
     shift_matrix,
-    structure_matrices,
     x_coord,
 )
 from .uea import Algebra, UEAElement, _Space, _add_into, _fold
@@ -149,28 +148,18 @@ def build_shifted_matrix(p: Partition) -> SeriesMatrix:
     and the diagonal gets z plus the column-count correction d_a.
     """
     alg = Algebra(p)
-    bs = alg.boxes
     D = shift_matrix(p)
-    F = structure_matrices(p)["F"]
-    pos = box_position(p)
     rows = []
-    for a in bs:
-        ia = pos[a]
+    for ia, a in enumerate(alg.boxes):
         row = []
-        for b in bs:
-            ib = pos[b]
-            terms = {}
+        for ib, b in enumerate(alg.boxes):
             lid = alg.letter_id[(b, a)]
-            if alg.deg2[lid] <= 1:
-                terms[0] = alg.gen_by_id(lid)
-            c = F[ia, ib] + (D[ia, ia] if ia == ib else 0)
-            if c:
-                terms[0] = terms.get(0, alg.zero()) + alg.scalar(c)
+            x = alg.gen_by_id(lid) if alg.deg2[lid] <= 1 else alg.zero()
+            c = (b == (a.i, a.h - 1)) + (D[ia, ia] if ia == ib else 0)
+            terms = {0: x + alg.scalar(c) if c else x}
             if ia == ib:
                 terms[2] = alg.one()
-            row.append(SeriesElem(alg, {n2: e for n2, e in terms.items()
-                                        if not (isinstance(e, UEAElement) and e.is_zero())},
-                                  None))
+            row.append(SeriesElem(alg, terms))
         rows.append(row)
     return SeriesMatrix(alg, rows)
 
@@ -225,8 +214,8 @@ class LOperator:
 
 def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOperator:
     """L(z): the generalized quasideterminant of the shifted matrix at the
-    corner selectors (rows of the first boxes, columns of the last boxes of
-    the longest rows), reduced to M.
+    corner positions (rows of the first boxes, columns of the last boxes of
+    the longest rows, `corner_positions`), reduced to M.
 
     One submatrix `quasideterminant` call computes it, right to left; the
     product decides where.  By default it is the action of U(g) on M, so no
@@ -241,30 +230,24 @@ def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOper
     exact polynomial; otherwise the requested (or default) doubled floor f2
     applies.
     """
-    p1, r1 = p.parts[0], p.r1
-    f2 = None if p.r == r1 and f2 is None else _floor2_for(p, f2)
-    A = build_shifted_matrix(p)
+    p1 = p.parts[0]
+    f2 = None if p.r == p.r1 and f2 is None else _floor2_for(p, f2)
     rs, cs = (None, None) if f2 is None else _inner_scales(p)
-    sm = structure_matrices(p)
-    q = quasideterminant(A, sm["I1"], sm["J1"], f2, None if lift else act, rs, cs)
-    lifted = q if lift else None
+    q = quasideterminant(build_shifted_matrix(p), *corner_positions(p), f2,
+                         None if lift else act, rs, cs)
     reduced = q.map_entries(_reduce_series)
+    _check_start(reduced, 2 * p1, -((-1) ** p1), "L(z)")
+    return LOperator(partition=p, floor2=f2, lift=q if lift else None, reduced=reduced)
 
-    # sanity: the reduced operator must start at -(-z)^{p1} * identity
-    top = -((-1) ** p1)
-    t2 = reduced.max_top2()
-    if t2 != 2 * p1:
-        raise ArithmeticError(f"L(z) top exponent {t2} != {2 * p1}")
-    lead = reduced.coeff_matrix2(2 * p1)
-    for i in range(r1):
-        for j in range(r1):
-            want = top if i == j else 0
-            if not set(lead[i][j].terms) <= {()} or lead[i][j].terms.get((), 0) != want:
-                raise ArithmeticError(
-                    f"leading coefficient of L at ({i + 1},{j + 1}) is not "
-                    f"{want}: {lead[i][j].to_text()}")
 
-    return LOperator(partition=p, floor2=f2, lift=lifted, reduced=reduced)
+def _check_start(S: SeriesMatrix, t2: int, c: int, what: str) -> None:
+    """ArithmeticError unless the series matrix S starts at z^{t2/2} with the
+    scalar coefficient c·1."""
+    top, C = S.max_top2(), S.scalar_matrix2(t2)
+    if top != t2 or C != ScalarMatrix.diag([c] * S.rows):
+        raise ArithmeticError(f"{what} does not start with {c}*1 at z^{half_str(t2)}: "
+                              f"doubled top {top}, coefficient there "
+                              f"{'not scalar' if C is None else C}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,39 +273,26 @@ def main_lemma_sides(p: Partition, f2: Optional[int] = None):
     the cyclic vector, and z^{-p1} L(z).
 
     The corner series J1·(1 + z^{-D}E)^{-1}·(I1·1) is one `solve` in the
-    action on M (the scalar seed I1 is already reduced).  Entry (a,b) of
-    z^{-D}E is z^{(x(b)-x(a))/2 - 1} e_{b,a}, so the row scale z^{x(a)/2} and
-    the column scale z^{-x(b)/2} make every entry of the weighted letters a
-    pure z^{-1} term: the identity is the top pivot, and `solve` fixes the
-    depth of each term from f2, the requested doubled floor.
+    action on M against the identity columns at the corner rows (a seed
+    that is already reduced), of which it keeps the rows at the corner
+    columns (`corner_positions`).  Entry (a,b) of z^{-D}E is
+    z^{(x(b)-x(a))/2 - 1} e_{b,a}, so the row scale z^{x(a)/2} and the
+    column scale z^{-x(b)/2} make every entry of the weighted letters a pure
+    z^{-1} term: the identity is the top pivot, and `solve` fixes the depth
+    of each term from f2, the requested doubled floor.
     """
     alg = Algebra(p)
     p1, r1 = p.parts[0], p.r1
     f2 = _floor2_for(p, f2)
     if f2 > -2 * p1:
         raise ValueError(f"floor must be at most -p1 = {-p1}")
-    pos = box_position(p)
-    rowsJ = [pos[Box(i, p1)] for i in range(1, r1 + 1)]
+    rows, cols = corner_positions(p)
     xs = [x_coord(p, b) for b in boxes(p)]
-    A = SeriesMatrix.identity(alg, p.N) + _weighted_E(alg)
-    seed = SeriesMatrix.from_scalar(alg, structure_matrices(p)["I1"])
-    X = solve(A, seed, act, f2, xs, [-x for x in xs])
-    Y0 = SeriesMatrix(alg, [X.data[j] for j in rowsJ])
-
-    t2 = Y0.max_top2()
-    if t2 is not None and t2 > 0:
-        raise ArithmeticError(f"reduced corner series has positive exponent {half_str(t2)}")
-    # the z^0 coefficient must be the scalar (-1)^(p1-1) identity
-    want = (-1) ** (p1 - 1)
-    for i in range(r1):
-        for j in range(r1):
-            c = Y0.data[i][j].coeff2(0)
-            if not set(c.terms) <= {()}:
-                raise ArithmeticError(
-                    f"z^0 coefficient at ({i + 1},{j + 1}) is not scalar: {c.to_text()}")
-    C = Y0.scalar_coeff_matrix2(0)
-    if C != ScalarMatrix.diag([want] * r1):
-        raise ArithmeticError(f"scalar pivot is not {want}*1: {C!r}")
+    one = SeriesMatrix.identity(alg, p.N)
+    X = solve(one + _weighted_E(alg), one.submatrix(range(p.N), rows), act, f2, xs,
+              [-x for x in xs])
+    Y0 = X.submatrix(cols, range(r1))
+    _check_start(Y0, 0, (-1) ** (p1 - 1), "the reduced corner series")
 
     # The reduced corner series is itself invariant (it is the inverse of an
     # invariant series with scalar leading coefficient), so its inversion can
@@ -429,7 +399,9 @@ def yangian_check_L(L: LOperator) -> dict:
 # ---------------------------------------------------------------------------
 # Capelli determinants and the two determinant identities
 
-_MAX_N = 4     # for N = 4 the identities already take ~17 s on 2 vCPUs
+# For N = 4 `check identities` takes 2.1-2.8 s CPU in a fresh process
+# (CPython 3.11, 2 vCPUs); the determinants sum N! products.
+_MAX_N = 4
 
 
 def capelli_suite(N: int) -> dict:
@@ -532,10 +504,10 @@ def rho_det_identities(N: int) -> dict:
              None if ok else (lhs - rhs).to_text())
 
     A = build_shifted_matrix(p)
-    sm = structure_matrices(p)
+    corner = corner_positions(p)
     rd = noncomm_det(A, "row")
     cd = noncomm_det(A, "column")
-    qd = quasideterminant(A, sm["I1"], sm["J1"]).data[0][0]
+    qd = quasideterminant(A, *corner).data[0][0]
     sign = (-1) ** (N + 1)
     sd = rd if sign == 1 else -rd
     note("rdet(shifted) = cdet(shifted)", rd == cd,
@@ -545,8 +517,8 @@ def rho_det_identities(N: int) -> dict:
     # both quasideterminant routes must also agree with it under truncation
     f2 = -12     # z^-6
     routes = {
-        "submatrix": quasideterminant(A, sm["I1"], sm["J1"], f2),
-        "definition": quasideterminant_by_definition(A, sm["I1"], sm["J1"], f2, qd.top2()),
+        "submatrix": quasideterminant(A, *corner, f2),
+        "definition": quasideterminant_by_definition(A, *corner, f2, qd.top2()),
     }
     diffs = {name: q.data[0][0].first_diff2(qd) for name, q in routes.items()}
     bad = {name: f"z^{half_str(d[0])}: {d[1].to_text()}"
@@ -624,9 +596,9 @@ class WGenerators:
         return "\n".join(lines)
 
 
-def _extract_polynomial_table(L: LOperator) -> dict:
+def _polynomial_table(p: Partition) -> dict:
     """w_{ab;k} = (-1)^k [z^k] L[b][a] for the exact polynomial families."""
-    p = L.partition
+    L = build_L(p)
     p1, r1 = p.parts[0], p.r1
     table = {}
     for a in range(1, r1 + 1):
@@ -685,16 +657,11 @@ def _minimal_table(p: Partition) -> dict:
     return {key: reduce_mod_I(e) for key, e in lifts.items()}
 
 
-def _family_for(p: Partition, family: str) -> None:
-    ok = {
-        "principal": p.r == 1,
-        "rectangular": p.r == p.r1,
-        "minimal": p.parts[0] == 2 and all(q == 1 for q in p.parts[1:]),
-    }.get(family)
-    if ok is None:
-        raise ValueError(f"unknown family {family!r}")
-    if not ok:
-        raise ValueError(f"partition {p} does not fit the {family} family")
+def _family(name: str) -> tuple:
+    """(fits, build table, check table) of the named family in `FAMILIES`."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name]
 
 
 def family_generators(p: Partition, family: str) -> WGenerators:
@@ -706,11 +673,10 @@ def family_generators(p: Partition, family: str) -> WGenerators:
 
     Every produced generator is checked for invariance before returning.
     """
-    _family_for(p, family)
-    if family in ("principal", "rectangular"):
-        table = _extract_polynomial_table(build_L(p))
-    else:
-        table = _minimal_table(p)
+    fits, build, _ = _family(family)
+    if not fits(p):
+        raise ValueError(f"partition {p} does not fit the {family} family")
+    table = build(p)
     for key in sorted(table):
         w = ad_invariant_witness(table[key])
         if w is not None:
@@ -928,13 +894,8 @@ class GeneratorBasis:
 
 
 def _generating_family(p: Partition) -> Optional[str]:
-    for family in ("minimal", "rectangular", "principal"):
-        try:
-            _family_for(p, family)
-            return family
-        except ValueError:
-            continue
-    return None
+    """The first family of `FAMILIES` that fits p, or None."""
+    return next((name for name, (fits, _, _) in FAMILIES.items() if fits(p)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,19 +1013,23 @@ def _check_minimal_table(g: WGenerators, witnesses: list):
                               "difference": (got - want).to_text()})
 
 
+# The generator families with closed descriptions, in the order in which
+# `_generating_family` tries them: name -> (fits the partition, build the
+# table, check the commutator table).
+FAMILIES = {
+    "minimal": (lambda p: p.parts[0] == 2 and all(q == 1 for q in p.parts[1:]),
+                _minimal_table, _check_minimal_table),
+    "rectangular": (lambda p: p.r == p.r1, _polynomial_table, _check_rectangular_table),
+    "principal": (lambda p: p.r == 1, _polynomial_table, _check_principal_table),
+}
+
+
 def relation_table_check(g: WGenerators) -> dict:
     """Verify the complete displayed commutator table of the family.  Every
     product in it is the W-product `w_product`; the tests check it against
     `ucirc_mul` on every pair of table entries."""
     witnesses = []
-    if g.family == "principal":
-        _check_principal_table(g, witnesses)
-    elif g.family == "rectangular":
-        _check_rectangular_table(g, witnesses)
-    elif g.family == "minimal":
-        _check_minimal_table(g, witnesses)
-    else:
-        raise ValueError(f"unknown family {g.family!r}")
+    _family(g.family)[2](g, witnesses)
     return _report("relations", g.partition, None, not witnesses, witnesses,
                    family=g.family, generators=len(g.table))
 
@@ -1101,8 +1066,7 @@ def conjecture_check(p: Partition, g: WGenerators, f2: Optional[int] = None) -> 
         cand = M
     else:
         L = build_L(p, f2)
-        sel = ScalarMatrix.from_rows([[int(i == j) for j in range(r1)] for i in range(r)])
-        cand = quasideterminant(M, sel, sel.transpose(), L.floor2, w_product,
+        cand = quasideterminant(M, range(r1), range(r1), L.floor2, w_product,
                                 row_scale=[-2 * q for q in p.parts])
 
     return _first_diff_report("conjecture", p, L.floor2, L.reduced, cand, family=g.family)

@@ -152,6 +152,19 @@ def test_oversized_partition_is_refused_before_any_algebra(monkeypatch, tmp_path
     assert err == message
 
 
+def test_a_part_of_more_than_nine_digits_is_a_usage_error(tmp_path, capsys):
+    # int() refuses a part over 4300 digits with a message that names
+    # neither the partition nor the rule
+    huge, inner = "1" * 5000, "2," + "0" * 4999 + "1"
+    path = tmp_path / "candidates.json"
+    path.write_text(json.dumps({"partition": huge, "generators": []}))
+    for argv, text in ((["L", "--partition", huge], huge),
+                       (["check", "yangian", "--partition", inner], inner),
+                       (["conjecture", "--partition", "2,1", "--candidates", str(path)], huge)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: bad partition string {text!r}")
+
+
 def test_family_partition_mismatch_is_usage_error(capsys):
     code, _, err = run(capsys, "generators", "--partition", "3,1",
                        "--family", "minimal")

@@ -11,10 +11,13 @@ as used when some module of the package reads its name, as a name or as an
 attribute, or lists it in `__all__`; `KEEP` names the few that only readers
 outside the package use.  A method other than a dunder counts as used on the
 same terms.  Every string in an `__all__` must name something its module
-defines, assigns or imports at top level.
+defines, assigns or imports at top level.  The package adds no runtime
+dependency: every import is relative, of `wgl`, or of the standard library
+(`sys.stdlib_module_names`).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wgl"
@@ -134,6 +137,24 @@ def _stale_exports(trees: dict) -> list:
             for name in sorted(_exported(tree) - _bound(tree))]
 
 
+def _foreign_imports(trees: dict) -> list:
+    """(module, line, name) of each import that is neither relative, nor of
+    `wgl`, nor of the standard library."""
+    allowed = sys.stdlib_module_names | {"wgl"}
+    out = []
+    for mod, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            out += [(mod, node.lineno, name) for name in names
+                    if name.split(".")[0] not in allowed]
+    return out
+
+
 def _trees() -> dict:
     return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
             for path in sorted(SRC.glob("*.py"))}
@@ -158,6 +179,10 @@ def test_every_definition_has_a_reader():
 
 def test_every_method_has_a_reader():
     assert _unread_methods(_trees()) == []
+
+
+def test_every_import_is_of_the_standard_library():
+    assert _foreign_imports(_trees()) == []
 
 
 def test_every_export_is_bound():
@@ -232,3 +257,20 @@ def test_the_walk_sees_an_unused_import_and_local():
         "    return g\n")
     assert _unused_imports(tree) == [(2, "import os")]
     assert _unused_locals(tree) == [(6, "local pos in f")]
+
+
+def test_the_walk_sees_a_foreign_import():
+    trees = {name: ast.parse(text) for name, text in {
+        "a.py": "from __future__ import annotations\n"
+                "import os.path, numpy\n"
+                "from . import b\n"
+                "from .uea import Algebra\n"
+                "from wgl.series import solve\n"
+                "def f():\n"
+                "    from hypothesis import given\n"
+                "    import json\n",
+        "b.py": "from collections import defaultdict\n"
+                "import wglx\n",
+    }.items()}
+    assert _foreign_imports(trees) == [("a.py", 2, "numpy"), ("a.py", 7, "hypothesis"),
+                                       ("b.py", 2, "wglx")]

@@ -12,8 +12,8 @@ from wgl.pyramid import (
     grading_degree,
     half_str,
     parse_half2,
+    corner_positions,
     shift_matrix,
-    structure_matrices,
     x_coord,
 )
 
@@ -96,6 +96,18 @@ def test_partition_parse_reads_ascii_digits_only(text):
         Partition.parse(text)
 
 
+@pytest.mark.parametrize("text", [
+    "1" * 10, "2," + "0" * 9 + "1", "1" * 5000, "2," + "0" * 4999 + "1", "+" + "1" * 4301,
+], ids=["10-digits", "leading-zeros", "5000-digits", "5000-digit-second-part", "4302-chars"])
+def test_partition_parse_bounds_the_digits_of_a_part(text):
+    # int() refuses text over 4300 digits with a message that names neither
+    # the partition nor the rule
+    with pytest.raises(ValueError, match="^bad partition string"):
+        Partition.parse(text)
+    assert Partition.parse(" +" + "0" * 8 + "1").parts == (1,)
+    assert Partition.parse("999999999").parts == (999999999,)
+
+
 def test_half_str_renders_doubled_ints():
     assert [half_str(n2) for n2 in (6, 3, 0, -1, -16, -15)] \
         == ["3", "3/2", "0", "-1/2", "-8", "-15/2"]
@@ -152,7 +164,7 @@ def test_grading_degree_is_x_difference_and_antisymmetric():
 
 
 # ---------------------------------------------------------------------------
-# shift matrix and selectors
+# shift matrix and corner positions
 
 
 def test_shift_matrix_examples():
@@ -168,14 +180,16 @@ def test_shift_matrix_counts_strictly_right_boxes():
     assert shift_matrix(p) == ScalarMatrix.diag([0, -2, 0, -2])
 
 
-def test_structure_matrices_select_ends_of_long_rows():
-    p = Partition((2, 1))
-    sm = structure_matrices(p)
-    F, I1, J1 = sm["F"], sm["I1"], sm["J1"]
-    assert I1.rows == 3 and I1.cols == 1 and I1[0, 0] == 1
-    assert J1.rows == 1 and J1.cols == 3 and J1[0, 1] == 1
-    # F moves along each row: (1,1) -> (1,2)
-    assert F[1, 0] == 1 and sum(F[i, j] for i in range(3) for j in range(3)) == 1
+@pytest.mark.parametrize("parts, rows, cols", [
+    ((2, 1), [0], [1]), ((3, 3), [0, 3], [2, 5]), ((2, 2, 1), [0, 2], [1, 3]),
+    ((3, 1, 1), [0], [2])], ids=["2,1", "3,3", "2,2,1", "3,1,1"])
+def test_corner_positions_select_ends_of_long_rows(parts, rows, cols):
+    p = Partition(parts)
+    pos = box_position(p)
+    longest = range(1, p.r1 + 1)
+    assert corner_positions(p) == (rows, cols)
+    assert rows == [pos[Box(i, 1)] for i in longest]
+    assert cols == [pos[Box(i, p.parts[0])] for i in longest]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +199,7 @@ def test_structure_matrices_select_ends_of_long_rows():
 def test_scalar_matrix_basics():
     m = ScalarMatrix.from_rows([[1, 2], [3, 4]])
     assert m[1, 0] == 3
-    assert ScalarMatrix.diag([1, 1]) == ScalarMatrix.identity(2)
+    assert ScalarMatrix.diag([1, 1]) == ScalarMatrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         ScalarMatrix(2, 2, [[1, 2], [3]])
     with pytest.raises(TypeError):

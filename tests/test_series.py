@@ -74,7 +74,7 @@ def test_series_product_respects_floors(gl2):
     x, y = gl_gen(gl2, 1, 2), gl_gen(gl2, 2, 1)
     a = SeriesElem(gl2, {0: x}, -4)
     b = SeriesElem(gl2, {0: y}, -2)
-    prod = a * b
+    prod = a.mul(b)
     assert prod.coeff2(0) == x * y
     # floor of the product: top of one factor against the floor of the other
     assert prod.floor2 == -2
@@ -83,7 +83,7 @@ def test_series_product_respects_floors(gl2):
 def test_z_pow_and_exactness(gl2):
     z2 = SeriesElem(gl2, {4: gl2.one()})
     assert z2.coeff2(4) == gl2.one() and z2.floor2 is None
-    assert (z2 * z2).coeff2(8) == gl2.one()
+    assert z2.mul(z2).coeff2(8) == gl2.one()
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_matrix_inverse_of_polynomial_matrix(gl2, zE2):
 def test_matrix_inverse_exact_for_unitriangular(gl2):
     x = gl_gen(gl2, 1, 2)
     one = SeriesElem.from_element(gl2, gl2.one())
-    zero = SeriesElem.zero(gl2)
+    zero = SeriesElem(gl2, {})
     M = SeriesMatrix(gl2, [[one, SeriesElem.from_element(gl2, x)], [zero, one]])
     inv = invert_matrix(M)
     assert inv.data[0][1].coeff2(0) == -x
@@ -175,9 +175,9 @@ def _geometric_solve(A, Y, mul=None, f2=None, row_scale=None, col_scale=None):
         M, Y0 = M.scale_rows(row_scale), Y0.scale_rows(row_scale)
     if col_scale is not None:
         M = M.scale_cols(col_scale)
-    d2, C, decaying = _detect_pivot(M)
+    d2, Cinv, decaying = _detect_pivot(M)
     g2 = f2 - max(col_scale or (), default=0) if decaying and f2 is not None else None
-    pre = SeriesMatrix.from_scalar(alg, C.inverse(), -d2)
+    pre = SeriesMatrix.from_scalar(alg, Cinv, -d2)
     negT = SeriesMatrix.identity(alg, n) - pre.matmul(M, mul)
     S = term = pre.matmul(Y0, mul).truncate2(g2)
     for _ in range(100):
@@ -262,21 +262,49 @@ def test_row_and_column_det_order_factors_differently(gl2, zE2):
 
 
 def test_quasideterminant_methods_agree(gl3, zE3):
-    I1 = ScalarMatrix.from_rows([[1], [0], [0]])
-    J1 = ScalarMatrix.from_rows([[1, 0, 0]])
     f2 = -6
-    qs = quasideterminant(zE3, I1, J1, f2)
+    qs = quasideterminant(zE3, [0], [0], f2)
     # the corner of z + E tops out at z^1
-    qd = quasideterminant_by_definition(zE3, I1, J1, f2, 2)
+    qd = quasideterminant_by_definition(zE3, [0], [0], f2, 2)
     assert qs.max_top2() == 2
     assert qd.first_diff(qs, f2) is None
     assert {e.floor2 for q in (qs, qd) for row in q.data for e in row} == {f2}
 
 
 def test_quasideterminant_of_full_selector_is_matrix_itself(gl2, zE2):
-    ident = ScalarMatrix.identity(2)
-    q = quasideterminant(zE2, ident, ident, -4)
+    q = quasideterminant(zE2, [0, 1], [0, 1], -4)
     assert q.first_diff(zE2, -4) is None
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([0, 1], [0]), ([0, 0], [1, 2]), ([0], [3]), ([-1], [0])],
+    ids=["unequal-lengths", "repeated-index", "out-of-range", "negative"])
+def test_quasideterminant_refuses_bad_corner_indices(zE3, rows, cols):
+    with pytest.raises(ValueError, match="corner indices"):
+        quasideterminant(zE3, rows, cols, -4)
+    with pytest.raises(ValueError, match="corner indices"):
+        quasideterminant_by_definition(zE3, rows, cols, -4, 2)
+
+
+def test_the_corner_of_a_square_matrix_only(gl2, zE2):
+    wide = SeriesMatrix(gl2, [list(row) + [row[0]] for row in zE2.data])
+    with pytest.raises(ValueError, match="not square"):
+        quasideterminant(wide, [0], [0], -4)
+
+
+def test_scalar_matrix2_reads_scalar_coefficients_only(gl2):
+    e = gl_gen(gl2, 1, 2)
+    M = SeriesMatrix(gl2, [[SeriesElem(gl2, {2: gl2.scalar(3), 0: e}), SeriesElem(gl2, {})],
+                           [SeriesElem(gl2, {0: gl2.one()}, -2), SeriesElem(gl2, {}, 4)]])
+    # an absent coefficient reads as 0, also below an entry's floor
+    assert M.scalar_matrix2(2) == ScalarMatrix.from_rows([[3, 0], [0, 0]])
+    assert M.scalar_matrix2(-4) == ScalarMatrix.from_rows([[0, 0], [0, 0]])
+    # a letter anywhere at z^0 leaves no scalar matrix: the known-bad control
+    assert M.scalar_matrix2(0) is None
+    assert M.map_entries(lambda s: s.truncate2(2)).scalar_matrix2(0) \
+        == ScalarMatrix.from_rows([[0, 0], [0, 0]])
+    with pytest.raises(ValueError):
+        M.data[1][1].coeff2(2)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +333,7 @@ def test_inverse_is_yangian_for_opposite_product(gl2, zE2):
 
 
 def test_corner_quasideterminant_is_yangian(gl3, zE3):
-    I1 = ScalarMatrix.from_rows([[1], [0], [0]])
-    J1 = ScalarMatrix.from_rows([[1, 0, 0]])
-    q = quasideterminant(zE3, I1, J1, -5)
+    q = quasideterminant(zE3, [0], [0], -5)
     ok, wit = yangian_identity_check(q)
     assert ok, wit
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wgl.pyramid import Box, Partition, box_position, boxes, structure_matrices, x_coord
+from wgl.pyramid import Box, Partition, boxes, corner_positions, x_coord
 from wgl.quotient import act, ad_invariant_witness, reduce_mod_I, w_commutator, w_product
 from wgl.series import (
     SeriesElem,
@@ -17,6 +17,7 @@ from wgl.uea import Algebra
 from wgl.walgebra import (
     GeneratorBasis,
     LOperator,
+    _check_start,
     _generating_family,
     _inner_scales,
     _reduce_series,
@@ -56,6 +57,17 @@ def test_shifted_matrix_structure():
     assert A.data[0][2].coeff2(0) == alg.gen(Box(2, 1), Box(1, 1))
 
 
+def test_shifted_matrix_has_F_below_the_diagonal_of_each_row():
+    # F puts a 1 in row (i,h+1), column (i,h), and no other scalar sits off
+    # the diagonal
+    bs = boxes(Partition((3, 2, 1)))
+    A = build_shifted_matrix(Partition((3, 2, 1)))
+    for ia, a in enumerate(bs):
+        for ib, b in enumerate(bs):
+            if ia != ib:
+                assert A.data[ia][ib].scalar_coeff2(0) == (a.i == b.i and a.h == b.h + 1)
+
+
 def test_default_floor_scales_with_largest_part():
     # doubled: z^-8 and z^-10
     assert default_floor(Partition((2,))) == -16
@@ -90,6 +102,25 @@ def test_build_L_truncates_otherwise():
     obj = L.to_json_obj()
     assert obj["partition"] == "2,1" and obj["floor"] == "-8"
     assert L.to_text().startswith("L(z) for partition 2,1")
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (2, 2)])
+def test_the_start_check_refuses_a_letter_in_the_top_coefficient(parts):
+    p = Partition(parts)
+    L, t2, c = build_L(p), 2 * p.parts[0], -((-1) ** p.parts[0])
+    _check_start(L.reduced, t2, c, "L(z)")
+
+    def bumped(n2, extra):
+        return _with_entry(L, "reduced", 0, 0, n2, extra).reduced
+
+    letter = reduce_mod_I(L.reduced.alg.gen(Box(1, 1), Box(1, 1)))
+    with pytest.raises(ArithmeticError, match=r"^L\(z\) does not start with .*coefficient there not scalar$"):
+        _check_start(bumped(t2, letter), t2, c, "L(z)")
+    # a wrong scalar there, and a top above z^{t2/2}
+    with pytest.raises(ArithmeticError, match=r"coefficient there ScalarMatrix\["):
+        _check_start(bumped(t2, L.reduced.alg.one()), t2, c, "L(z)")
+    with pytest.raises(ArithmeticError, match="doubled top 8"):
+        _check_start(bumped(t2 + 4, letter), t2, c, "L(z)")
 
 
 def test_truncation_floor_does_not_change_the_coefficients():
@@ -304,11 +335,10 @@ def test_L_built_in_M_equals_the_reduced_lift(solve_floors, parts, floor):
 def test_both_quasideterminant_routes_deliver_on_the_first_pass(solve_floors):
     # the principal (3) shifted matrix has a constant-term inner pivot
     p = Partition((3,))
-    sm = structure_matrices(p)
     A = build_shifted_matrix(p)
-    qs = quasideterminant(A, sm["I1"], sm["J1"], -12)
+    qs = quasideterminant(A, *corner_positions(p), -12)
     assert qs.max_top2() == 6
-    qd = quasideterminant_by_definition(A, sm["I1"], sm["J1"], -12, 6)
+    qd = quasideterminant_by_definition(A, *corner_positions(p), -12, 6)
     # submatrix: the inner solve, below -12 by the top z^1 of Q;
     # definition: A^{-1}·I1 deeper by twice the top z^3, then the inverse
     # of the 1x1 sandwich
@@ -320,9 +350,8 @@ def test_both_quasideterminant_routes_deliver_on_the_first_pass(solve_floors):
 def test_definition_route_refuses_a_top_that_is_too_low():
     # top2 = 0 solves A^{-1}·I1 only to -12, 6 short of what z^3 needs
     p = Partition((3,))
-    sm = structure_matrices(p)
     with pytest.raises(ArithmeticError, match="cannot reach floor z\\^-6"):
-        quasideterminant_by_definition(build_shifted_matrix(p), sm["I1"], sm["J1"], -12, 0)
+        quasideterminant_by_definition(build_shifted_matrix(p), *corner_positions(p), -12, 0)
 
 
 def _complement(parts, f2):
@@ -330,9 +359,7 @@ def _complement(parts, f2):
     right-hand side R = A_IcJ, and the scalings build_L uses on B."""
     p = Partition(parts)
     A = build_shifted_matrix(p)
-    pos = box_position(p)
-    rowsI = [pos[Box(i, 1)] for i in range(1, p.r1 + 1)]
-    colsJ = [pos[Box(i, p.parts[0])] for i in range(1, p.r1 + 1)]
+    rowsI, colsJ = corner_positions(p)
     compI = [n for n in range(p.N) if n not in rowsI]
     compJ = [n for n in range(p.N) if n not in colsJ]
     rs = cs = None
@@ -386,10 +413,10 @@ def test_solve_is_a_right_inverse_of_the_weighted_matrix(parts):
     alg = Algebra(p)
     xs = [x_coord(p, b) for b in boxes(p)]
     A = SeriesMatrix.identity(alg, p.N) + _weighted_E(alg)
-    I1 = SeriesMatrix.from_scalar(alg, structure_matrices(p)["I1"])
+    rows, cols = corner_positions(p)
+    I1 = SeriesMatrix.identity(alg, p.N).submatrix(range(p.N), rows)
     X = _check_right_inverse(A, I1, act, f2, xs, [-x for x in xs])
-    pos = box_position(p)
-    corner = [X.data[pos[Box(i, p.parts[0])]] for i in range(1, p.r1 + 1)]
+    corner = [X.data[j] for j in cols]
     assert {e.floor2 for row in corner for e in row} == {f2}
 
 
@@ -492,10 +519,10 @@ def test_identities_check_names_a_disagreeing_quasideterminant_route(monkeypatch
 
     orig = wgl.walgebra.quasideterminant_by_definition
 
-    def bumped(A, I1, J1, f2, top2):
-        q = orig(A, I1, J1, f2, top2)
+    def bumped(A, rows, cols, f2, top2):
+        q = orig(A, rows, cols, f2, top2)
         # add 1 to the z^-1 coefficient of the 1x1 corner
-        return SeriesMatrix(q.alg, [[q[0, 0] + SeriesElem(q.alg, {-2: q.alg.one()})]])
+        return SeriesMatrix(q.alg, [[q.data[0][0] + SeriesElem(q.alg, {-2: q.alg.one()})]])
 
     monkeypatch.setattr(wgl.walgebra, "quasideterminant_by_definition", bumped)
     witnesses = [{"identity": "quasideterminant routes agree at floor -6",
