@@ -194,6 +194,8 @@ def _render_report(rep: dict) -> str:
         if key in ("check", "partition", "family", "n", "floor", "pass",
                    "witnesses", "coefficients"):
             continue
+        if isinstance(val, (list, tuple, dict, bool)):
+            val = json.dumps(val, sort_keys=True, default=str)
         lines.append(f"{key}: {val}")
     for c in rep.get("coefficients", ()):
         tag = "central" if c["central"] else "NOT central"
@@ -261,6 +263,9 @@ def _load_candidates(path: str) -> WGenerators:
     if missing:
         raise ValueError(f"candidates file has no generator with key {list(missing[0])}")
     family = obj.get("family", "candidates")
+    if not (isinstance(family, str) and family.isprintable()):
+        raise ValueError(f'candidates "family" must be printable text, not '
+                         f'{json.dumps(family)}')
     return WGenerators(family=family, partition=p, table=table)
 
 
@@ -348,9 +353,8 @@ def _cmd_conjecture(args) -> int:
 # argument parsing
 
 
-def _add_common(sp, partition=True, floor=True):
-    if partition:
-        sp.add_argument("--partition", help="comma-separated parts, e.g. 2,1")
+def _add_common(sp, floor=True):
+    sp.add_argument("--partition", help="comma-separated parts, e.g. 2,1")
     if floor:
         sp.add_argument("--floor",
                         help="lowest kept power of z (integer or n/2)")

@@ -6,19 +6,18 @@ arithmetic propagates floors conservatively, so a reported coefficient is
 always the true one.  Exponents and floors are half-integers, passed and
 kept as doubled ints.
 
-One solver, `solve`, computes A^{-1}·Y after normalizing by an invertible
-scalar pivot: either the top-exponent coefficient matrix (when it is purely
-scalar) or the scalar part of the z^0 coefficient.  Row/column scaling by
-scalar z-monomials exposes the pivot of matrices (e.g. submatrices of the
-shifted matrix, or the weighted matrix 1 + z^{-D}E of the main lemma) whose
-pivot only becomes visible after conjugating by diag(z^{x(b)}).  A top pivot
-leaves T = pivot^{-1}·A - 1 decaying, and A^{-1}·Y comes by long division to
-a floor, which it needs, with the floors the product rule gives.  The
-constant-term pivot leaves T nilpotent, and the package's only
-geometric-series loop sums (-T)^l·Y exactly.  `invert_matrix` is `solve`
-against the identity.  The submatrix route `quasideterminant` makes one
-solve; its oracle `quasideterminant_by_definition` makes one solve and one
-inversion.
+One solver, `solve`, computes A^{-1}·Y after normalizing by the top
+pivot: the top-exponent coefficient matrix, which must be scalar and
+invertible.  Row/column scaling by scalar z-monomials exposes the pivot of
+matrices (e.g. submatrices of the shifted matrix, or the weighted matrix
+1 + z^{-D}E of the main lemma) whose pivot only becomes visible after
+conjugating by diag(z^{x(b)}).  The pivot leaves T = pivot^{-1}·A - 1
+decaying, and A^{-1}·Y comes by one long division: to a floor, with the
+floors the product rule gives, or, with no floor, exactly, to a depth fixed
+in advance at which the division provably ends.  `invert_matrix` is
+`solve` against the identity.  The submatrix route `quasideterminant`
+makes one solve; its oracle `quasideterminant_by_definition` makes one
+solve and one inversion.
 
 Series and matrix products, inversion, quasideterminants and the Yangian
 identity check take the ring product used on coefficients as `mul` (the
@@ -121,9 +120,6 @@ class SeriesElem:
 
     def top2(self) -> Optional[int]:
         return max(self.terms) if self.terms else None
-
-    def scalar_coeff2(self, n2: int):
-        return self.coeff2(n2).terms.get((), 0)
 
     def is_zero(self) -> bool:
         """All known coefficients vanish (exact zero when floor is None)."""
@@ -326,9 +322,6 @@ class SeriesMatrix:
     def truncate2(self, f2: Optional[int]) -> "SeriesMatrix":
         return self.map_entries(lambda e: e.truncate2(f2))
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
-
     def max_top2(self) -> Optional[int]:
         tops = [e.top2() for row in self.data for e in row]
         tops = [t for t in tops if t is not None]
@@ -342,11 +335,6 @@ class SeriesMatrix:
             return None
         return ScalarMatrix.from_rows([[0 if c is None else c.terms.get((), 0) for c in row]
                                        for row in cs])
-
-    def scalar_coeff_matrix2(self, n2: int) -> ScalarMatrix:
-        """Scalar parts of the z^{n2/2} coefficients."""
-        return ScalarMatrix.from_rows([[e.scalar_coeff2(n2) for e in row]
-                                       for row in self.data])
 
     def first_diff(self, other: "SeriesMatrix", floor2: Optional[int] = None):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -368,43 +356,52 @@ class SeriesMatrix:
 
 
 def _detect_pivot(M: SeriesMatrix):
-    """Find an invertible scalar pivot: returns (pivot_exp2, C^{-1}, decaying).
-
-    Tries the top-exponent coefficient matrix first (T then decays, and
-    `solve` divides); falls back to the scalar part of the z^0
-    coefficients.
-    """
+    """The top pivot of M: (d2, C^{-1}) for the coefficient matrix C at M's
+    doubled top exponent d2; ArithmeticError unless C is scalar and
+    invertible."""
     d2 = M.max_top2()
     if d2 is None:
         raise ArithmeticError("cannot invert the zero matrix")
     C = M.scalar_matrix2(d2)
-    if C is not None:
-        try:
-            return d2, C.inverse(), True
-        except ValueError:      # singular
-            pass
     try:
-        return 0, M.scalar_coeff_matrix2(0).inverse(), False
-    except ValueError:          # singular, or known only above z^0
-        raise ArithmeticError(
-            "no invertible scalar pivot: neither the top coefficient matrix nor the "
-            "scalar z^0 part is invertible (consider row/column scaling)") from None
+        if C is not None:
+            return d2, C.inverse()
+    except ValueError:          # singular
+        pass
+    raise ArithmeticError("no invertible scalar pivot: the top coefficient matrix is "
+                          "not scalar and invertible (consider row/column scaling)")
 
 
-def _divide(negT: SeriesMatrix, Y: SeriesMatrix, mul: MulFn, need: list) -> SeriesMatrix:
+def _divide(negT: SeriesMatrix, Y: SeriesMatrix, mul: MulFn,
+            need: Optional[list]) -> SeriesMatrix:
     """X = Y + negT·X for a negT with only negative exponents, by long
     division: X_k = Y_k + sum_e negT_e·X_{k-e}, each coefficient once, from
-    the top of Y down to row i's depth need[i].  need[l] is first deepened
-    to need[i] - top(negT_il) wherever negT couples row i to row l, so a
-    coefficient only reads computed ones.  X_ij then gets the floor, at
+    the top of Y down.
+
+    With need, row i goes to depth need[i] or deeper: need[l] is first
+    deepened to need[i] - top(negT_il) wherever negT couples row i to row l,
+    so a coefficient only reads computed ones.  X_ij then gets the floor, at
     least need[i], that SeriesElem.mul's product rule gives
     Y_ij + sum_l negT_il·X_lj, applied until no floor moves.
+
+    With need None, negT and Y are exact and every row goes to b - n·W, b
+    being the bottom exponent of Y and W the depth of negT's lowest term.
+    When negT^n = 0, X = sum_{l<n} negT^l·Y lies at or above b - (n-1)·W.
+    If it does, the W rows below that are zero and below b, and a row reads
+    only the W rows above it, so every lower row is zero and X is exact; a
+    term below b - (n-1)·W raises ArithmeticError.
     """
     alg, n, cols, T = Y.alg, Y.rows, range(Y.cols), negT.data
-    for _ in range(n):      # paths of at most n - 1 couplings
-        for i, l in product(range(n), repeat=2):
-            if T[i][l].terms:
-                need[l] = min(need[l], need[i] - T[i][l].top2())
+    exact = need is None
+    if exact:
+        b = min((k for row in Y.data for e in row for k in e.terms), default=0)
+        W = -min((e for row in T for t in row for e in t.terms), default=0)
+        cut, need = b - (n - 1) * W, [b - n * W] * n
+    else:
+        for _ in range(n):      # paths of at most n - 1 couplings
+            for i, l in product(range(n), repeat=2):
+                if T[i][l].terms:
+                    need[l] = min(need[l], need[i] - T[i][l].top2())
     X, lo, hi = [[{} for _ in cols] for _ in range(n)], min(need), Y.max_top2()
     for k in range(lo - 1 if hi is None else hi, lo - 1, -1):
         for i, j in product(range(n), cols):
@@ -420,6 +417,11 @@ def _divide(negT: SeriesMatrix, Y: SeriesMatrix, mul: MulFn, need: list) -> Seri
                         _add_into(acc, mul(t, x).terms)
             if acc:
                 X[i][j][k] = UEAElement(alg, acc)
+    if exact:
+        if any(k < cut for row in X for x in row for k in x):
+            raise ArithmeticError(f"the division does not end at z^{half_str(cut)} or "
+                                  "above: solving needs a floor")
+        return SeriesMatrix(alg, [[SeriesElem(alg, x) for x in row] for row in X])
     fl = [[_add_floor2(Y.data[i][j].floor2, need[i]) for j in cols] for i in range(n)]
     for _ in range(n + 1):
         S = [[SeriesElem(alg, X[i][j], fl[i][j]) for j in cols] for i in range(n)]
@@ -435,23 +437,20 @@ def _divide(negT: SeriesMatrix, Y: SeriesMatrix, mul: MulFn, need: list) -> Seri
 
 def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
           f2: Optional[int] = None, row_scale=None, col_scale=None) -> SeriesMatrix:
-    """A^{-1}·Y to the doubled floor f2.
+    """A^{-1}·Y to the doubled floor f2, or exactly when f2 is None.
 
     row_scale / col_scale (doubled exponents, one per index: Dr = z^rs and
     Dc = z^cs) expose a scalar pivot hidden by mixed exponents: with the
-    pivot pre = C^{-1} z^{-d} of Dr·A·Dc from `_detect_pivot`,
-    T = pre·Dr·A·Dc - 1 and Y' = pre·Dr·Y, A^{-1}·Y = Dc·X for the X with
-    X = Y' - T·X.
+    top pivot pre = C^{-1} z^{-d} of Dr·A·Dc from `_detect_pivot`,
+    T = pre·Dr·A·Dc - 1 has only negative exponents, Y' = pre·Dr·Y, and
+    A^{-1}·Y = Dc·X for the X with X = Y' - T·X.
 
-    A top-exponent pivot leaves T with only negative exponents: X comes by
-    long division (`_divide`), row i to f2 - cs[i] or deeper, and with no
-    f2 a pivot off z^0 raises ArithmeticError before any product.  The
-    constant-term pivot (also a top pivot at z^0 with no f2) makes T
-    nilpotent but lets it have positive exponents: X = sum_l (-T)^l·Y' is
-    summed untruncated up to a fixed step cap, the first zero power
-    included: a power known only above some floor bounds X there too.
-    Every product but the pivot's multiplies onto a partial result, so `mul`
-    may be the action on M when Y is reduced.
+    X comes by long division (`_divide`): row i to f2 - cs[i] or deeper, or,
+    with no f2, exactly, to a depth fixed in advance at which the division
+    provably ends, else ArithmeticError.  With no f2, a pivot off z^0 or an
+    input with a floor raises ArithmeticError before any product.  Every
+    product but the pivot's multiplies onto a partial result, so `mul` may
+    be the action on M when Y is reduced.
     """
     if A.rows != A.cols:
         raise ValueError("matrix not square")
@@ -461,26 +460,16 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
         M, Y0 = M.scale_rows(row_scale), Y0.scale_rows(row_scale)
     if col_scale is not None:
         M = M.scale_cols(col_scale)
-    d2, Cinv, decaying = _detect_pivot(M)
-    if decaying and f2 is None and d2:
-        raise ArithmeticError(f"the pivot at z^{half_str(d2)} leaves an endless "
-                              "series: solving needs a floor")
+    d2, Cinv = _detect_pivot(M)
+    if f2 is None and (d2 or any(e.floor2 is not None
+                                 for S in (M, Y0) for row in S.data for e in row)):
+        why = f"the pivot sits at z^{half_str(d2)}" if d2 else "an input has a floor"
+        raise ArithmeticError(f"{why}: solving needs a floor")
 
     pre = SeriesMatrix.from_scalar(alg, Cinv, -d2)
     negT = SeriesMatrix.identity(alg, n) - pre.matmul(M, mul)
-    Y0 = pre.matmul(Y0, mul)
-    if decaying and f2 is not None:
-        S = _divide(negT, Y0, mul or _default_mul, [f2 - c for c in col_scale or [0] * n])
-    else:
-        S = term = Y0
-        steps = 2 * n + 16
-        for _ in range(steps):
-            term = negT.matmul(term, mul)
-            S = S + term    # a zero power still carries its floor
-            if term.is_zero():
-                break
-        else:
-            raise ArithmeticError(f"geometric series did not terminate in {steps} steps")
+    S = _divide(negT, pre.matmul(Y0, mul), mul or _default_mul,
+                None if f2 is None else [f2 - c for c in col_scale or [0] * n])
     if col_scale is not None:
         S = S.scale_rows(col_scale)
     return S.truncate2(f2)

@@ -172,6 +172,8 @@ def _inner_scales(p: Partition):
     subdiagonal of the shifted matrix into a single invertible z^0 block
     while every remaining entry strictly decays; the extra -1 on the row
     side shifts the whole product by z^{-1} so the block lands at z^0.
+    That block is the top pivot of every solve on the complement, truncated
+    or exact.
     """
     xs = [x_coord(p, b) for b in boxes(p)]
     return [-2 - x for x in xs], xs
@@ -225,16 +227,15 @@ def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOper
     that, since it prints the lift.  Both give the same L(z), coefficient by
     coefficient and floor by floor.
 
-    When all parts are equal the complement submatrix is unit-triangular up
-    to permutation, the geometric tail is nilpotent, and the result is an
+    The inner solve always takes the scales of `_inner_scales`.  When all
+    parts are equal its long division provably ends and the result is an
     exact polynomial; otherwise the requested (or default) doubled floor f2
     applies.
     """
     p1 = p.parts[0]
     f2 = None if p.r == p.r1 and f2 is None else _floor2_for(p, f2)
-    rs, cs = (None, None) if f2 is None else _inner_scales(p)
     q = quasideterminant(build_shifted_matrix(p), *corner_positions(p), f2,
-                         None if lift else act, rs, cs)
+                         None if lift else act, *_inner_scales(p))
     reduced = q.map_entries(_reduce_series)
     _check_start(reduced, 2 * p1, -((-1) ** p1), "L(z)")
     return LOperator(partition=p, floor2=f2, lift=q if lift else None, reduced=reduced)
@@ -504,10 +505,10 @@ def rho_det_identities(N: int) -> dict:
              None if ok else (lhs - rhs).to_text())
 
     A = build_shifted_matrix(p)
-    corner = corner_positions(p)
+    corner, scales = corner_positions(p), _inner_scales(p)
     rd = noncomm_det(A, "row")
     cd = noncomm_det(A, "column")
-    qd = quasideterminant(A, *corner).data[0][0]
+    qd = quasideterminant(A, *corner, None, None, *scales).data[0][0]
     sign = (-1) ** (N + 1)
     sd = rd if sign == 1 else -rd
     note("rdet(shifted) = cdet(shifted)", rd == cd,
@@ -517,7 +518,7 @@ def rho_det_identities(N: int) -> dict:
     # both quasideterminant routes must also agree with it under truncation
     f2 = -12     # z^-6
     routes = {
-        "submatrix": quasideterminant(A, *corner, f2),
+        "submatrix": quasideterminant(A, *corner, f2, None, *scales),
         "definition": quasideterminant_by_definition(A, *corner, f2, qd.top2()),
     }
     diffs = {name: q.data[0][0].first_diff2(qd) for name, q in routes.items()}

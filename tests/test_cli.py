@@ -300,6 +300,16 @@ def test_floor_equal_to_the_largest_part_is_accepted(capsys):
     assert code == 0 and json.loads(out)["floor"] == "2"
 
 
+def test_text_report_renders_structured_extras_as_json(capsys):
+    code, out, _ = run(capsys, "check", "identities", "--n", "2")
+    lines = out.splitlines()
+    results = json.loads(next(x for x in lines if x.startswith("results: "))[9:])
+    assert code == 0 and len(results) == 7
+    assert all(r["pass"] is True for r in results)
+    code, out, _ = run(capsys, "check", "yangian", "--partition", "2")
+    assert code == 0 and "exact_commutator_zero: true" in out.splitlines()
+
+
 def test_failing_check_exits_1(tmp_path, capsys):
     # candidates file with one generator perturbed: the rebuilt L(z) cannot
     # match the direct construction
@@ -392,10 +402,20 @@ _KEYS = "candidates generator 1: key [1, 1, 7] is not (i, j, k) with 1 <= i, j <
      "candidates generator 1: no generator e[(True, 1.0),(1, 1)] for partition 2,1"),
     (lambda obj: obj.update(partition=[True]),
      "parts must be positive integers, got True"),
+    # json reads the number 1e999 as inf, which json.dumps would echo as
+    # Infinity, not JSON
+    (lambda obj: obj.update(family=float("inf")),
+     'candidates "family" must be printable text, not Infinity'),
+    (lambda obj: obj.update(family=["minimal"]),
+     'candidates "family" must be printable text, not ["minimal"]'),
+    # a line break would forge lines of the text report
+    (lambda obj: obj.update(family="x\npass: yes"),
+     'candidates "family" must be printable text, not "x\\npass: yes"'),
 ], ids=["letter-outside-the-pyramid", "no-element", "key-of-length-2",
         "zero-denominator", "coeff-exponent-text", "coeff-1e999", "coeff-true",
         "coeff-float", "missing-key", "key-out-of-range", "key-as-text",
-        "unexpected-key", "repeated-key", "bool-box-index", "bool-partition-part"])
+        "unexpected-key", "repeated-key", "bool-box-index", "bool-partition-part",
+        "family-1e999", "family-list", "family-line-break"])
 def test_bad_candidates_entry_is_named(tmp_path, capsys, edit, message):
     code, out, _ = run(capsys, "generators", "--partition", "2,1",
                        "--format", "json")

@@ -13,7 +13,12 @@ outside the package use.  A method other than a dunder counts as used on the
 same terms.  Every string in an `__all__` must name something its module
 defines, assigns or imports at top level.  The package adds no runtime
 dependency: every import is relative, of `wgl`, or of the standard library
-(`sys.stdlib_module_names`).
+(`sys.stdlib_module_names`).  Every parameter default of a function or method
+is overridden by some call in the package, passing that parameter by position
+or keyword: a call by the function's name, by attribute for a method (after
+`self`), or by class name for `__init__` (after `self`); a call with `*args`
+or `**kwargs` may pass anything from there on.  `KEEP` names the defaults
+that only callers outside the package override.
 """
 
 import ast
@@ -27,6 +32,8 @@ KEEP = {
     "_floor2": "perfbench/tracer.py, the floor of invert_matrix",
     "ucirc_mul": "tests/test_quotient.py, the oracle for w_product on the relation "
                  "tables; perfbench/tracer.py wraps it by name",
+    "main(argv)": "tests/test_cli.py and perfbench/child.py pass argv; the console "
+                  "script reads sys.argv",
 }
 
 
@@ -155,6 +162,50 @@ def _foreign_imports(trees: dict) -> list:
     return out
 
 
+def _overrides(call: ast.Call, skip: int, param: str, index) -> bool:
+    """Whether call passes param, at positional index (None if keyword-only)
+    of a signature whose first `skip` parameters the call does not spell."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if index is None or index < skip:
+        return False
+    head = call.args[:index - skip + 1]
+    return len(head) > index - skip or any(isinstance(a, ast.Starred) for a in head)
+
+
+def _unused_defaults(trees: dict) -> list:
+    """(module, line, "[Class.]function(param)") of each parameter default in
+    the module trees that no call in them overrides and KEEP does not name."""
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    out = []
+    for mod, tree in sorted(trees.items()):
+        owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls, a = owner.get(id(fn)), fn.args
+            pos = a.posonlyargs + a.args
+            first = len(pos) - len(a.defaults)
+            params = [(p.arg, i) for i, p in enumerate(pos[first:], first)]
+            params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None]
+            # (calls that reach fn, the parameters those calls do not spell)
+            ways = [([c for c in calls if isinstance(c.func, ast.Name)
+                      and c.func.id == fn.name], 0),
+                    ([c for c in calls if isinstance(c.func, ast.Attribute)
+                      and c.func.attr == fn.name], 1 if cls else 0)]
+            if fn.name == "__init__":
+                ways.append(([c for c in calls if isinstance(c.func, ast.Name)
+                              and c.func.id == cls], 1))
+            for param, index in params:
+                what = f"{cls + '.' if cls else ''}{fn.name}({param})"
+                if what not in KEEP and not any(_overrides(c, skip, param, index)
+                                                for cs, skip in ways for c in cs):
+                    out.append((mod, fn.lineno, what))
+    return out
+
+
 def _trees() -> dict:
     return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
             for path in sorted(SRC.glob("*.py"))}
@@ -183,6 +234,10 @@ def test_every_method_has_a_reader():
 
 def test_every_import_is_of_the_standard_library():
     assert _foreign_imports(_trees()) == []
+
+
+def test_every_default_is_overridden():
+    assert _unused_defaults(_trees()) == []
 
 
 def test_every_export_is_bound():
@@ -274,3 +329,21 @@ def test_the_walk_sees_a_foreign_import():
     }.items()}
     assert _foreign_imports(trees) == [("a.py", 2, "numpy"), ("a.py", 7, "hypothesis"),
                                        ("b.py", 2, "wglx")]
+
+
+def test_the_walk_sees_an_unused_default():
+    trees = {name: ast.parse(text) for name, text in {
+        "a.py": "def f(x, y=1, z=2, *, k=3, m=4): pass\n"
+                "def g(x, y=1, z=2): pass\n"
+                "def main(argv=None): pass\n"
+                "class C:\n"
+                "    def __init__(self, a, b=0, c=0): pass\n"
+                "    def m(self, p=0, q=0): pass\n",
+        "b.py": "from a import f, g, C\n"
+                "f(1, 2, m=5)\n"
+                "g(*args)\n"
+                "C(1, 2).m(q=1)\n"
+                "C.m(p=0)\n",
+    }.items()}
+    assert _unused_defaults(trees) == [
+        ("a.py", 1, "f(z)"), ("a.py", 1, "f(k)"), ("a.py", 5, "C.__init__(c)")]

@@ -104,10 +104,24 @@ def test_matrix_inverse_exact_for_unitriangular(gl2):
     x = gl_gen(gl2, 1, 2)
     one = SeriesElem.from_element(gl2, gl2.one())
     zero = SeriesElem(gl2, {})
+    # a letter in the top coefficient matrix leaves no scalar pivot
     M = SeriesMatrix(gl2, [[one, SeriesElem.from_element(gl2, x)], [zero, one]])
+    with pytest.raises(ArithmeticError, match="no invertible scalar pivot"):
+        invert_matrix(M)
+    # one step below the top it is part of T, which is nilpotent
+    M = SeriesMatrix(gl2, [[one, SeriesElem(gl2, {-2: x})], [zero, one]])
     inv = invert_matrix(M)
-    assert inv.data[0][1].coeff2(0) == -x
+    assert inv.data[0][1].terms == {-2: -x}
+    assert {e.floor2 for row in inv.data for e in row} == {None}
     assert M.matmul(inv).first_diff(SeriesMatrix.identity(gl2, 2)) is None
+
+
+def test_an_exact_solve_that_does_not_end_is_refused(gl2):
+    # 1 + e11 z^{-1}: the inverse sum_l (-e11)^l z^{-l} never ends
+    A = SeriesMatrix(gl2, [[SeriesElem(gl2, {0: gl2.one(), -2: gl_gen(gl2, 1, 1)})]])
+    with pytest.raises(ArithmeticError,
+                       match="does not end at z\\^0 or above: solving needs a floor"):
+        invert_matrix(A)
 
 
 def test_solve_keeps_T_whole(gl2):
@@ -153,18 +167,19 @@ def test_a_matrix_known_only_above_its_pivot_is_refused():
 
 def test_a_vanishing_power_carries_its_floor_into_the_solution():
     # 1 + O(z^{-1/2}) over (2): T is zero but known only above z^{-1/2}, so
-    # the inverse is 1 + O(z^{-1/2}) with no floor asked for, as with one
+    # the inverse is 1 + O(z^{-1/2}) at any floor asked for, and an exact
+    # solve of it is refused
     alg = Algebra(Partition((2,)))
     A = SeriesMatrix(alg, [[SeriesElem(alg, {0: alg.one()}, -1)]])
-    got = invert_matrix(A)
-    assert got.data[0][0].terms == {0: alg.one()} and got.data[0][0].floor2 == -1
+    with pytest.raises(ArithmeticError, match="needs a floor"):
+        invert_matrix(A)
     deep = invert_matrix(A, -6)
-    assert deep.data[0][0].floor2 == -1 and deep.first_diff(got) is None
+    assert deep.data[0][0].terms == {0: alg.one()} and deep.data[0][0].floor2 == -1
 
 
 def _geometric_solve(A, Y, mul=None, f2=None, row_scale=None, col_scale=None):
     """The oracle for `solve`: Dc·sum_l (-T)^l·(pre·Dr·Y), every partial
-    power formed and cut at f2 - max(cs) when the pivot decays.
+    power formed and cut at f2 - max(cs), or summed whole with no f2.
 
     It takes in the floors of its first zero power too: a power that
     vanishes because T is known only above some floor leaves the solution
@@ -175,15 +190,15 @@ def _geometric_solve(A, Y, mul=None, f2=None, row_scale=None, col_scale=None):
         M, Y0 = M.scale_rows(row_scale), Y0.scale_rows(row_scale)
     if col_scale is not None:
         M = M.scale_cols(col_scale)
-    d2, Cinv, decaying = _detect_pivot(M)
-    g2 = f2 - max(col_scale or (), default=0) if decaying and f2 is not None else None
+    d2, Cinv = _detect_pivot(M)
+    g2 = None if f2 is None else f2 - max(col_scale or (), default=0)
     pre = SeriesMatrix.from_scalar(alg, Cinv, -d2)
     negT = SeriesMatrix.identity(alg, n) - pre.matmul(M, mul)
     S = term = pre.matmul(Y0, mul).truncate2(g2)
     for _ in range(100):
         term = negT.matmul(term, mul, g2).truncate2(g2)
         S = S + term
-        if term.is_zero():
+        if all(e.is_zero() for row in term.data for e in row):
             break
     else:
         raise AssertionError("the oracle's series did not terminate")
@@ -192,13 +207,15 @@ def _geometric_solve(A, Y, mul=None, f2=None, row_scale=None, col_scale=None):
     return S.truncate2(f2)
 
 
-def _random_decaying(alg, rng, n, fa, scales, reduced):
+def _random_decaying(alg, rng, n, fa, scales, reduced, strict=False):
     """A random n x n matrix whose scaled form Dr·A·Dc has the scalar top
     z^{d/2}·C, C unitriangular up to a permutation, over terms one or two
     half-steps lower; every entry of the scaled form is floored at d + fa
-    (T then at fa) when fa is not None."""
-    d = rng.choice([-2, 0, 1, 2])
-    perm = rng.sample(range(n), n)
+    (T then at fa) when fa is not None.  With strict, d = 0, C is upper
+    triangular and the lower terms lie above the diagonal, so T is strictly
+    upper triangular and T^n = 0."""
+    d = 0 if strict else rng.choice([-2, 0, 1, 2])
+    perm = list(range(n)) if strict else rng.sample(range(n), n)
     rs, cs = scales
     rows = []
     for i in range(n):
@@ -210,7 +227,7 @@ def _random_decaying(alg, rng, n, fa, scales, reduced):
             elif j > perm[i] and rng.random() < 0.5:
                 terms[d] = alg.scalar(rng.choice([1, -1]))
             for k in (1, 2):
-                if rng.random() < 0.6:
+                if rng.random() < 0.6 and not (strict and j <= i):
                     x = random_element(alg, rng, max_deg=1, max_terms=2)
                     terms[d - k] = reduce_mod_I(x) if reduced else x
             floor = None if fa is None else d + fa
@@ -243,6 +260,28 @@ def test_solve_matches_the_geometric_series_oracle(parts, ring):
             == [[e.terms for e in row] for row in want.data]
         assert [[e.floor2 for e in row] for row in got.data] \
             == [[e.floor2 for e in row] for row in want.data]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("ring", ["uea", "act", "w_product"])
+def test_exact_solve_matches_the_geometric_series_oracle(n, ring):
+    # T strictly upper triangular: the geometric series ends, and solve
+    # with no floor gives its whole sum, with and without scales
+    alg = Algebra(Partition((2, 1)))
+    mul = {"uea": None, "act": act, "w_product": w_product}[ring]
+    rng = random.Random(f"exact{n}{ring}")
+    for scaled in (False, True):
+        m = rng.choice([1, 2])
+        rs = [rng.choice([-2, -1, 0, 1, 2]) for _ in range(n)] if scaled else [0] * n
+        cs = rng.sample([-2, 0, 2], n) if scaled else [0] * n
+        A = _random_decaying(alg, rng, n, None, (rs, cs), ring == "w_product", True)
+        Y = SeriesMatrix(alg, [[SeriesElem(alg, {
+            rng.choice([-1, 0, 2]): reduce_mod_I(random_element(alg, rng, max_deg=1))})
+            for _ in range(m)] for _ in range(n)])
+        args = (A, Y, mul, None) + ((rs, cs) if scaled else ())
+        got = solve(*args)
+        assert got.data == _geometric_solve(*args).data
+        assert {e.floor2 for row in got.data for e in row} == {None}
 
 
 def test_noncomm_det_on_scalars_matches_ordinary_det(gl2):

@@ -65,7 +65,7 @@ def test_shifted_matrix_has_F_below_the_diagonal_of_each_row():
     for ia, a in enumerate(bs):
         for ib, b in enumerate(bs):
             if ia != ib:
-                assert A.data[ia][ib].scalar_coeff2(0) == (a.i == b.i and a.h == b.h + 1)
+                assert A.data[ia][ib].coeff2(0).terms.get((), 0) == (a.i == b.i and a.h == b.h + 1)
 
 
 def test_default_floor_scales_with_largest_part():
@@ -333,10 +333,10 @@ def test_L_built_in_M_equals_the_reduced_lift(solve_floors, parts, floor):
 
 
 def test_both_quasideterminant_routes_deliver_on_the_first_pass(solve_floors):
-    # the principal (3) shifted matrix has a constant-term inner pivot
+    # the principal (3) shifted matrix shows its inner pivot under the scales
     p = Partition((3,))
     A = build_shifted_matrix(p)
-    qs = quasideterminant(A, *corner_positions(p), -12)
+    qs = quasideterminant(A, *corner_positions(p), -12, None, *_inner_scales(p))
     assert qs.max_top2() == 6
     qd = quasideterminant_by_definition(A, *corner_positions(p), -12, 6)
     # submatrix: the inner solve, below -12 by the top z^1 of Q;
@@ -354,7 +354,7 @@ def test_definition_route_refuses_a_top_that_is_too_low():
         quasideterminant_by_definition(build_shifted_matrix(p), *corner_positions(p), -12, 0)
 
 
-def _complement(parts, f2):
+def _complement(parts):
     """The complement block B of the shifted matrix, its rectangular
     right-hand side R = A_IcJ, and the scalings build_L uses on B."""
     p = Partition(parts)
@@ -362,11 +362,9 @@ def _complement(parts, f2):
     rowsI, colsJ = corner_positions(p)
     compI = [n for n in range(p.N) if n not in rowsI]
     compJ = [n for n in range(p.N) if n not in colsJ]
-    rs = cs = None
-    if f2 is not None:
-        rows, cols = _inner_scales(p)
-        rs, cs = [rows[n] for n in compI], [cols[n] for n in compJ]
-    return A.submatrix(compI, compJ), A.submatrix(compI, colsJ), rs, cs
+    rows, cols = _inner_scales(p)
+    return (A.submatrix(compI, compJ), A.submatrix(compI, colsJ),
+            [rows[n] for n in compI], [cols[n] for n in compJ])
 
 
 def _check_right_inverse(B, R, mul, f2, rs, cs):
@@ -386,7 +384,7 @@ def _check_right_inverse(B, R, mul, f2, rs, cs):
     assert B.matmul(solve(B, one, mul, f2, rs, cs), mul).first_diff(one) is None
     # against the identity, solve is invert_matrix (on the scaled block,
     # whose pivot needs no scaling)
-    D = B if rs is None else B.scale_rows(rs).scale_cols(cs)
+    D = B.scale_rows(rs).scale_cols(cs)
     inv = invert_matrix(D, f2, mul)
     assert solve(D, one, mul, f2).data == inv.data
     assert D.matmul(inv, mul).first_diff(one) is None
@@ -398,7 +396,7 @@ def _check_right_inverse(B, R, mul, f2, rs, cs):
 ])
 def test_solve_is_a_right_inverse(parts, floor, in_M):
     f2 = None if floor is None else 2 * floor
-    B, R, rs, cs = _complement(parts, f2)
+    B, R, rs, cs = _complement(parts)
     mul = act if in_M else None
     if in_M:
         R = R.map_entries(_reduce_series)
@@ -492,6 +490,39 @@ def test_relation_table_check_names_the_broken_bracket():
     rep = relation_table_check(bad)
     assert rep["pass"] is False
     assert rep["witnesses"] == [{"bracket": "[('C', 0), ('R', 0)]", "difference": "-1"}]
+
+
+def test_rectangular_relation_table_check_names_the_broken_bracket():
+    g = family_generators(Partition((2, 2)), "rectangular")
+    key = (1, 1, 1)
+    one = reduce_mod_I(Algebra(g.partition).one())
+    # a central shift keeps every commutator, but the table's right-hand
+    # side of [w_{12;1}, w_{21;1}] is w_{11;1} - w_{22;1}, and w_{11;1}
+    # enters the products on the right of six brackets of degree 0
+    bad = dataclasses.replace(g, table={**g.table, key: reduce_mod_I(g.table[key] + one)})
+    rep = relation_table_check(bad)
+    assert rep["pass"] is False
+    wit = {w["bracket"]: w["difference"] for w in rep["witnesses"]}
+    assert list(wit) == [
+        "[w[1,1;0], w[1,2;0]]", "[w[1,1;0], w[2,1;0]]", "[w[1,2;0], w[1,1;0]]",
+        "[w[1,2;0], w[2,1;0]]", "[w[1,2;1], w[2,1;1]]", "[w[2,1;0], w[1,1;0]]",
+        "[w[2,1;0], w[1,2;0]]", "[w[2,1;1], w[1,2;1]]"]
+    assert (wit["[w[1,2;1], w[2,1;1]]"], wit["[w[2,1;1], w[1,2;1]]"]) == ("-1", "1")
+    assert wit["[w[1,1;0], w[1,2;0]]"] == "2*e[(1,1),(2,1)] + e[(1,2),(2,1)] - " \
+        "e[(1,1),(2,1)]*e[(1,2),(1,2)] - e[(1,2),(2,2)]*e[(2,1),(2,1)]"
+
+
+def test_principal_relation_table_check_names_the_broken_bracket():
+    g = family_generators(Partition((3,)), "principal")
+    key = (1, 1, 0)
+    # e11 is not invariant: it commutes with the central trace w_{11;2},
+    # but not with w_{11;1}
+    bumped = reduce_mod_I(g.table[key] + Algebra(g.partition).gen(Box(1, 1), Box(1, 1)))
+    bad = dataclasses.replace(g, table={**g.table, key: bumped})
+    rep = relation_table_check(bad)
+    assert rep["pass"] is False
+    assert rep["witnesses"] == [{"pair": ((1, 1, 0), (1, 1, 1)),
+                                 "commutator": "-e[(1,2),(1,1)]"}]
 
 
 def test_capelli_suite_names_a_non_central_coefficient(monkeypatch):
