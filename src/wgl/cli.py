@@ -275,7 +275,12 @@ def _load_candidates(path: str) -> WGenerators:
 
 def _cmd_L(args) -> int:
     p = _partition(args.partition)
-    L = build_L(p, _parse_floor(args.floor), lift=True)
+    # the text prints only the reduced L(z), so only JSON needs the lift
+    L = build_L(p, _parse_floor(args.floor), lift=args.format == "json")
+    # rendering forms no product, and terms key by monomials, not memo ids
+    alg = Algebra(p)
+    alg._lm_cache.clear()
+    alg._act_cache.clear()
     _emit(L.to_json_obj(), args.format, L.to_text)
     return 0
 

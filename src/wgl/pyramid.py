@@ -14,7 +14,6 @@ floors) is held as its doubled int; `parse_half2` reads one from text and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -61,12 +60,14 @@ class Box(NamedTuple):
         return f"({self.i},{self.h})"
 
 
-@dataclass(frozen=True)
 class Partition:
-    parts: tuple
+    """The parts p_1 >= ... >= p_r of a partition; immutable, equal and
+    hashed by `parts`."""
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        parts = tuple(parts)
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("partition must have at least one part")
@@ -101,6 +102,23 @@ class Partition:
                 break
             n += 1
         return n
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"Partition(parts={self.parts!r})"
 
     def __str__(self):
         return ",".join(str(p) for p in self.parts)

@@ -164,7 +164,7 @@ def _left_action(alg: Algebra, a: int, groups: dict, weyl: _Weyl) -> dict:
         row = _straighten(space, a, space.intern(u0))
         monos = space.monos
         by_t: dict = {}
-        for m, c2 in zip(row[::2], row[1::2]):
+        for m, c2 in ((row, 1),) if type(row) is int else zip(row[::2], row[1::2]):
             w0 = monos[m]
             t = w0[-1] if w0 and cls[w0[-1]] else None
             if t is not None:

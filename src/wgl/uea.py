@@ -13,7 +13,9 @@ pass.
 
 All rewriting to PBW normal form is one iterative walk, `_straighten`, in
 a `_Space`: a bracket, an intern table numbering monomials with small ints,
-and a memo keyed by head and id whose rows are flat (id, coeff, ...) tuples.
+and a memo keyed by head and id.  A memo row is the bare id of a monomial
+when the product is that monomial with coefficient 1, and otherwise a flat
+(id, coeff, ...) tuple, () for zero.
 The brackets are the gl_N structure constants for U(g) (`Algebra._lm_cache`)
 and for its action on M = U(g)/I (`Algebra._act_cache`), and a generator
 family's table in `walgebra.GeneratorBasis`, whose brackets may be words.
@@ -32,10 +34,10 @@ Coeff = Union[int, Fraction]
 
 # Straightening-memo entries are cheap to recompute but can pile up on long
 # runs; past this many a space is cleared wholesale (only between folds,
-# never mid-walk).  An entry with its flat row and its share of the intern
-# table takes about 180 bytes (the memory freed by clearing the (2,1,1)
-# action memo, 41,068 entries, after `check yangian --partition 2,1,1
-# --floor -5`), so about 550 MB.
+# never mid-walk).  An entry with its row and its share of the intern table
+# takes about 150 bytes (the memory freed by clearing the (2,1,1) action
+# memo, 41,068 entries, after `check yangian --partition 2,1,1 --floor -5`),
+# so about 460 MB.
 _LM_CACHE_CAP = 3_000_000
 
 
@@ -91,7 +93,7 @@ class Algebra:
         self._lm_cache = _Space(self._comm_ids)
         # e_x·1 = (f|e_x) in M for the degree->=1 letters: as those sort
         # last, no other rewrite puts one into a reduced monomial
-        self._act_cache = _Space(self._comm_ids, {x: (0, f) if f else ()
+        self._act_cache = _Space(self._comm_ids, {x: 0 if f else ()
             for x, (c, f) in enumerate(zip(self.cls, self.fval)) if c == 2})
 
     # -- structure constants ------------------------------------------------
@@ -157,9 +159,12 @@ class Algebra:
 class _Space:
     """Monomials interned as small ints (`monos[i]` has id i, `ids` maps it
     back, id 0 is ()), and the memo `rows[x][i]` = x·monos[i] for a head x,
-    a letter or a word, as one flat tuple (id0, c0, id1, c1, ...): no pair
-    tuple is stored, which halves the memo.  `comm` is the bracket the walk
-    rewrites with, `seed` the rows {x: x·1} the space starts from."""
+    a letter or a word.  A row has one of two shapes: the int id of the one
+    monomial when the product is that monomial with coefficient 1, else one
+    flat tuple (id0, c0, id1, c1, ...), () for zero.  No (id, 1) tuple and
+    no pair tuple is stored, which shrinks the memo.  `comm` is the bracket
+    the walk rewrites with, `seed` the rows {x: x·1} the space starts from,
+    in the same two shapes."""
 
     __slots__ = ("comm", "seed", "monos", "ids", "rows")
 
@@ -186,7 +191,8 @@ class _Space:
 
 def _straighten(space: _Space, x, mid: int):
     """Normal form of x·monos[mid] for a normal (PBW-ordered) monomial, as
-    a flat row (id, coeff, ...), memoized in space.rows[x][mid].
+    a row of `_Space` (a bare id or a flat (id, coeff, ...) tuple), memoized
+    in space.rows[x][mid].
 
     space.comm(x, y) gives the bracket [x, y] of letters x > y as (head,
     coeff) pairs, where a head is one letter or a word w of two or more
@@ -211,7 +217,7 @@ def _straighten(space: _Space, x, mid: int):
         else:
             mono = monos[km]
             if not mono or kx <= mono[0]:
-                row[km] = (intern((kx,) + mono), 1)
+                row[km] = intern((kx,) + mono)
                 stack.pop()
                 continue
             y, rest = mono[0], intern(mono[1:])
@@ -223,7 +229,7 @@ def _straighten(space: _Space, x, mid: int):
             ready = False
         else:
             ry = rows[y]
-            for m1 in got1[::2]:
+            for m1 in (got1,) if type(got1) is int else got1[::2]:
                 if m1 not in ry:
                     stack.append((y, m1))
                     ready = False
@@ -234,15 +240,22 @@ def _straighten(space: _Space, x, mid: int):
         if not ready:
             continue
         acc: dict = {}
-        for m1, c1 in zip(got1[::2], got1[1::2]):
+        for m1, c1 in ((got1, 1),) if type(got1) is int else zip(got1[::2], got1[1::2]):
             r = ry[m1]
+            if type(r) is int:
+                acc[r] = acc.get(r, 0) + c1
+                continue
             for m2, c2 in zip(r[::2], r[1::2]):
                 acc[m2] = acc.get(m2, 0) + c1 * c2
         for t, ct in terms:
             r = rows[t][rest]
+            if type(r) is int:
+                acc[r] = acc.get(r, 0) + ct
+                continue
             for m3, c3 in zip(r[::2], r[1::2]):
                 acc[m3] = acc.get(m3, 0) + ct * c3
-        row[km] = tuple(v for mc in acc.items() if mc[1] for v in mc)
+        flat = tuple(v for mc in acc.items() if mc[1] for v in mc)
+        row[km] = flat[0] if len(flat) == 2 and flat[1] == 1 else flat
         stack.pop()
     return rows[x][mid]
 
@@ -295,23 +308,28 @@ def _fold(left: dict, right: dict, space: _Space) -> dict:
                 j += 1
             row = rows[ell]
             nxt: dict = {}
+            get = nxt.get
             for m, c in acc.items():
                 got = row.get(m)
                 if got is None:
                     got = _straighten(space, ell, m)
-                # most rows hold one or two terms: unpack those directly
+                # most rows are one monomial with coefficient 1, a bare id;
+                # unpack tuples of one or two terms directly
+                if type(got) is int:
+                    nxt[got] = get(got, 0) + c
+                    continue
                 k = len(got)
                 if k == 2:
                     m2, c2 = got
-                    nxt[m2] = nxt.get(m2, 0) + c * c2
+                    nxt[m2] = get(m2, 0) + c * c2
                 elif k == 4:
                     m2, c2, m3, c3 = got
-                    nxt[m2] = nxt.get(m2, 0) + c * c2
-                    nxt[m3] = nxt.get(m3, 0) + c * c3
+                    nxt[m2] = get(m2, 0) + c * c2
+                    nxt[m3] = get(m3, 0) + c * c3
                 else:
                     it = iter(got)
                     for m2, c2 in zip(it, it):
-                        nxt[m2] = nxt.get(m2, 0) + c * c2
+                        nxt[m2] = get(m2, 0) + c * c2
             stack.append((i, j, depth + 1,
                           {m: c for m, c in nxt.items() if c}))
             i = j

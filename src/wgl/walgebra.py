@@ -10,9 +10,9 @@ from a candidate generator table.
 
 L(z) is one submatrix quasideterminant, computed right to left, and the
 product passed to it decides where: the action of U(g) on M = U(g)/I, so
-that no U(g) product is formed, or, for `wgl L`, which prints the U(g)
-quasideterminant as well (`build_L(..., lift=True)`), the U(g) product,
-whose result is then reduced.
+that no U(g) product is formed, or, for `wgl L --format json`, which prints
+the U(g) quasideterminant as well (`build_L(..., lift=True)`), the U(g)
+product, whose result is then reduced.
 
 Every routine returns a plain report dict:
 
@@ -24,7 +24,6 @@ ints throughout; a report renders its floor as a half-integer string, or
 None when the computation is exact (no truncation).
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .pyramid import (
@@ -179,7 +178,6 @@ def _inner_scales(p: Partition):
     return [-2 - x for x in xs], xs
 
 
-@dataclass
 class LOperator:
     """L(z), and the U(g) quasideterminant it reduces from when asked for.
 
@@ -191,10 +189,12 @@ class LOperator:
     (a polynomial, which happens exactly when all parts are equal).
     """
 
-    partition: Partition
-    floor2: Optional[int]
-    lift: Optional[SeriesMatrix]
-    reduced: SeriesMatrix
+    def __init__(self, partition: Partition, floor2: Optional[int],
+                 lift: Optional[SeriesMatrix], reduced: SeriesMatrix):
+        self.partition = partition
+        self.floor2 = floor2
+        self.lift = lift
+        self.reduced = reduced
 
     def to_json_obj(self) -> dict:
         return {
@@ -223,9 +223,9 @@ def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOper
     product decides where.  By default it is the action of U(g) on M, so no
     U(g) product is formed (the shifted matrix has no letter of degree >= 1,
     so its entries are already canonical representatives).  lift=True passes
-    the U(g) product instead and reduces the result; only `wgl L` asks for
-    that, since it prints the lift.  Both give the same L(z), coefficient by
-    coefficient and floor by floor.
+    the U(g) product instead and reduces the result; only `wgl L --format
+    json` asks for that, since it prints the lift.  Both give the same L(z),
+    coefficient by coefficient and floor by floor.
 
     The inner solve always takes the scales of `_inner_scales`.  When all
     parts are equal its long division provably ends and the result is an
@@ -545,7 +545,6 @@ def rho_det_identities(N: int) -> dict:
 # generator families
 
 
-@dataclass
 class WGenerators:
     """A table of generators w_{ij;k}.
 
@@ -553,9 +552,10 @@ class WGenerators:
     the reduced representative.
     """
 
-    family: str
-    partition: Partition
-    table: dict
+    def __init__(self, family: str, partition: Partition, table: dict):
+        self.family = family
+        self.partition = partition
+        self.table = table
 
     def wmatrix(self) -> SeriesMatrix:
         """The r x r polynomial matrix with (u,v) entry

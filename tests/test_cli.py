@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -37,6 +39,43 @@ def test_L_text_output(capsys):
     assert code == 0
     assert out.startswith("L(z) for partition 2")
     assert "e[(1,1),(1,1)]" in out
+
+
+def test_L_text_equals_the_text_of_the_lifted_build(capsys):
+    # the text prints only the reduced L(z), which the build without the
+    # lift gives as well
+    code, out, _ = run(capsys, "L", "--partition", "2,1", "--floor", "-5")
+    assert code == 0
+    assert out == build_L(Partition((2, 1)), -10, lift=True).to_text() + "\n"
+
+
+def test_L_drops_the_straightening_memos_before_it_renders(capsys, monkeypatch):
+    import wgl.cli
+
+    alg = Algebra(Partition((2, 1, 1)))
+    spaces = (alg._lm_cache, alg._act_cache)
+    seen = []
+    emit = wgl.cli._emit
+
+    def spy(*args):
+        seen.append([(len(space.monos), len(space)) for space in spaces])
+        return emit(*args)
+
+    monkeypatch.setattr(wgl.cli, "_emit", spy)
+    code, out, _ = run(capsys, "L", "--partition", "2,1,1", "--floor", "-2",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["lift"] is not None
+    # as fresh: the intern table holds only (), the memo only the chi seeds
+    assert seen == [[(1, 0), (1, len(alg._act_cache.seed))]]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import wgl.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_generators_text_shows_the_shifted_trace(capsys):

@@ -189,14 +189,18 @@ def test_kernel_agrees_with_a_fresh_space(parts):
         assert len(space.monos) == len(space.ids)
         assert all(space.monos[i] == m for m, i in space.ids.items())
         ids = {i for row in space.rows.values() for i in row}
-        ids |= {i for row in space.rows.values() for got in row.values()
-                for i in got[::2]}
-        assert ids <= set(range(len(space.monos)))
-        # every row, the seeded chi rows too, is flat: (id0, c0, id1, c1, ...)
+        # every row, the seeded chi rows too, is a bare id or flat
+        # (id0, c0, id1, c1, ...), and a unit row is never a tuple
         for row in space.rows.values():
             for got in row.values():
+                if type(got) is int:
+                    ids.add(got)
+                    continue
                 assert type(got) is tuple and len(got) % 2 == 0
                 assert all(type(i) is int for i in got[::2])
+                assert not (len(got) == 2 and got[1] == 1), got
+                ids.update(got[::2])
+        assert ids <= set(range(len(space.monos)))
 
 
 def test_action_memo_of_a_membership_check_stays_small():
