@@ -35,9 +35,9 @@ Coeff = Union[int, Fraction]
 # Straightening-memo entries are cheap to recompute but can pile up on long
 # runs; past this many a space is cleared wholesale (only between folds,
 # never mid-walk).  An entry with its row and its share of the intern table
-# takes about 150 bytes (the memory freed by clearing the (2,1,1) action
-# memo, 41,068 entries, after `check yangian --partition 2,1,1 --floor -5`),
-# so about 460 MB.
+# takes about 165 bytes (tracemalloc: clearing the action memo that
+# `build_L` fills on (2,1,1) at floor -8, 137,589 entries, frees 22.9 MB),
+# so about 500 MB.
 _LM_CACHE_CAP = 3_000_000
 
 

@@ -231,11 +231,17 @@ def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOper
     parts are equal its long division provably ends and the result is an
     exact polynomial; otherwise the requested (or default) doubled floor f2
     applies.
+
+    The action memo the build fills ends with it: no later stage reads its
+    rows, so the build in M clears it before returning.  The lift route
+    leaves both memos to its caller (`wgl L` clears them before printing).
     """
     p1 = p.parts[0]
     f2 = None if p.r == p.r1 and f2 is None else _floor2_for(p, f2)
     q = quasideterminant(build_shifted_matrix(p), *corner_positions(p), f2,
                          None if lift else act, *_inner_scales(p))
+    if not lift:
+        Algebra(p)._act_cache.clear()
     reduced = q.map_entries(_reduce_series)
     _check_start(reduced, 2 * p1, -((-1) ** p1), "L(z)")
     return LOperator(partition=p, floor2=f2, lift=q if lift else None, reduced=reduced)
@@ -363,6 +369,10 @@ def yangian_check_L(L: LOperator) -> dict:
     the partition and the coefficients are bulky — by exact rewriting of
     every coefficient as a polynomial in the family and commuting in that
     basis ("generators"); the report names the strategy used.
+
+    On the generators route the action memo ends with the conversions: it
+    is cleared before the first commutator, and only the family brackets
+    that the commutators ask for refill it.
     """
     extras = {"product": "lift"}
     if L.partition.r1 == 1:
@@ -376,6 +386,7 @@ def yangian_check_L(L: LOperator) -> dict:
         if strategy == "generators":
             basis = GeneratorBasis(family_generators(L.partition, family))
             polys = {n2: basis.convert(c) for n2, c in coeffs.items()}
+            basis.alg._act_cache.clear()
 
             def difference(m2, n2):
                 d = basis.poly_commutator(polys[m2], polys[n2])
@@ -781,17 +792,21 @@ class GeneratorBasis:
     bracket table.
 
     A polynomial maps ordered tuples of family letters (indices into
-    `labels`) to coefficients.  `poly_mul` is the straightening walk of
-    `uea` run with `bracket` in place of the gl_N structure constants, in
-    the space `_nf_cache`; a bracket monomial of two or more letters enters
-    the walk as a word, and keys its memo row by that tuple.
+    `labels`) to coefficients.  `convert` rewrites by graded elimination,
+    and `_evaluate` gives a polynomial's value in M in Horner form.
+    `poly_mul` is the straightening walk of `uea` run with `bracket` in
+    place of the gl_N structure constants, in the space `_nf_cache`; a
+    bracket monomial of two or more letters enters the walk as a word, and
+    keys its memo row by that tuple.
 
-    Every step is an exact identity: conversion subtracts explicit products
-    of the family's canonical representatives until the remainder vanishes,
-    and each straightening rewrite substitutes a bracket that was computed
-    in the quotient beforehand.  Nothing is assumed about the family beyond
-    what these subtractions verify, so a successful run is itself the proof
-    that the converted expressions are equal to the inputs.
+    Every step is an exact identity: conversion subtracts the value of each
+    graded slice until the remainder vanishes, and each straightening
+    rewrite substitutes a bracket that was computed in the quotient
+    beforehand.  Nothing is assumed about the family beyond what these
+    subtractions verify, so a successful run is itself the proof that the
+    converted expressions are equal to the inputs.  By Premet's PBW theorem
+    (Adv. Math. 170, 2002) the ordered family monomials are a basis of W, so
+    the rewriting is unique.
     """
 
     def __init__(self, g: WGenerators):
@@ -806,6 +821,8 @@ class GeneratorBasis:
             if tops[lab][1] is not None:
                 raise ArithmeticError(f"family element w[{lab[0]},{lab[1]};{lab[2]}] "
                                       f"does not reduce to its own symbol")
+        # the constant of every Horner evaluation; the benchmark tracer
+        # reads this table's size, so it stays, with its one entry
         self._eval_cache: dict = {(): reduce_mod_I(self.alg.one())}
         self._bracket_cache: dict = {}
         self._nf_cache = _Space(self.bracket)
@@ -826,23 +843,37 @@ class GeneratorBasis:
 
     # -- conversion ---------------------------------------------------------
 
-    def _eval_mono(self, mono: tuple) -> MElement:
-        """Canonical representative of the ordered product of family
-        elements; suffixes are shared so the growth is left-linear."""
-        hit = self._eval_cache.get(mono)
-        if hit is None:
-            hit = w_product(self.reps[mono[0]], self._eval_mono(mono[1:]))
-            self._eval_cache[mono] = hit
-        return hit
+    def _evaluate(self, poly: dict) -> dict:
+        """Terms of the canonical representative of the polynomial's value.
+
+        Horner form: with its monomials grouped by their last letter g,
+        poly = c + sum_g P_g·g, and the value is c·1 + sum_g P_g·reps[g],
+        each product one `w_product` of the value of P_g, found the same way,
+        on reps[g].  The right factor is invariant, so any representative of
+        the left one gives the same product in M, and the result is exact.
+        """
+        out: dict = {}
+        by_last: dict = {}
+        for mono, c in poly.items():
+            if mono:
+                by_last.setdefault(mono[-1], {})[mono[:-1]] = c
+            else:
+                _add_into(out, self._eval_cache[()].terms, c)
+        for g, left in by_last.items():
+            value = MElement(self.alg, self._evaluate(left))
+            _add_into(out, w_product(value, self.reps[g]).terms)
+        return out
 
     def convert(self, x: MElement) -> dict:
         """x as {ordered letter tuple: coefficient}.
 
         Graded elimination: project the top filtration slice onto the
-        centralizer coordinates, subtract the matching product combination,
-        repeat.  The subtraction cancels the whole slice — a leftover at the
-        same weight would contradict the injectivity of the graded symbol on
-        invariants — so the weight strictly drops and the loop is finite.
+        centralizer coordinates, subtract the value of that slice's whole
+        polynomial (one `_evaluate`), repeat.  The subtraction cancels the
+        whole slice — a leftover at the same weight would contradict the
+        injectivity of the graded symbol on invariants — so the weight
+        strictly drops and the loop is finite.  An element outside the
+        family's span leaves a top slice with zero symbol, and raises.
         """
         out: dict = {}
         rem = dict(x.terms)
@@ -864,8 +895,7 @@ class GeneratorBasis:
             step = {tuple(sorted(self.index[lab] for lab in labs)): c
                     for labs, c in poly.items()}
             _add_into(out, step)
-            for mono, c in step.items():
-                _add_into(rem, self._eval_mono(mono).terms, -c)
+            _add_into(rem, self._evaluate(step), -1)
         return out
 
     # -- abstract straightening over the bracket table -----------------------

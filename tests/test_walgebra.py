@@ -253,10 +253,55 @@ def test_generator_basis_commutators_match_quotient(minimal_basis):
 
 
 def _evaluate(basis, poly):
+    """The value of a polynomial in M, each monomial an ordered chain of
+    W-products of family elements from the right: an oracle independent of
+    the Horner evaluation inside `convert`."""
+    chains = {(): reduce_mod_I(basis.alg.one())}
+
+    def value(mono):
+        if mono not in chains:
+            chains[mono] = w_product(basis.reps[mono[0]], value(mono[1:]))
+        return chains[mono]
+
     out = reduce_mod_I(basis.alg.zero())
     for mono, c in poly.items():
-        out = out + basis._eval_mono(mono).scale(c)
+        out = out + value(mono).scale(c)
     return out
+
+
+def test_horner_evaluation_of_the_constants(minimal_basis):
+    assert minimal_basis._evaluate({}) == {}
+    assert minimal_basis._evaluate({(): 3}) == {(): 3}
+
+
+@pytest.fixture(scope="module")
+def L_2111_at_minus_4():
+    # the shallowest floor at which `yangian_check_L` takes the generators
+    # route on (2,1,1)
+    return build_L(Partition((2, 1, 1)), -8)
+
+
+def test_conversion_round_trips_on_2111(L_2111_at_minus_4):
+    coeffs = L_2111_at_minus_4.reduced.data[0][0].terms
+    basis = GeneratorBasis(family_generators(Partition((2, 1, 1)), "minimal"))
+    for n2, c in coeffs.items():
+        assert _evaluate(basis, basis.convert(c)) == c, n2
+    n = len(basis.labels)
+    for x in range(n):
+        for y in range(x):
+            poly = {(h,) if type(h) is int else h: c for h, c in basis.bracket(x, y)}
+            assert _evaluate(basis, poly) == w_commutator(basis.reps[x], basis.reps[y])
+
+
+def test_conversion_refuses_an_element_outside_the_span(L_2111_at_minus_4):
+    p = Partition((2, 1, 1))
+    alg = Algebra(p)
+    basis = GeneratorBasis(family_generators(p, "minimal"))
+    c = L_2111_at_minus_4.reduced.data[0][0].terms[-8]
+    assert basis.convert(c)
+    bad = c + reduce_mod_I(alg.gen((1, 1), (2, 1)))
+    with pytest.raises(ArithmeticError, match="top slice has zero symbol"):
+        basis.convert(bad)
 
 
 @pytest.mark.parametrize("parts, family", [((2, 1, 1), "minimal"),
@@ -278,6 +323,36 @@ def test_poly_mul_agrees_with_the_product_in_M(parts, family):
     # the quadratic ones enter the walk as word keys
     assert {len(h) for h in heads if type(h) is tuple} == {2}
     assert any(type(x) is tuple for x in basis._nf_cache.rows)
+
+
+def _fresh(space) -> bool:
+    """The intern table holds only (), the memo only the seed rows."""
+    return len(space.monos) == 1 and len(space) == len(space.seed)
+
+
+def test_build_L_in_M_ends_with_a_fresh_action_memo():
+    p = Partition((2, 1, 1))
+    alg = Algebra(p)
+    before = len(alg._lm_cache)
+    build_L(p, -4)
+    assert _fresh(alg._act_cache)
+    assert len(alg._lm_cache) == before
+
+
+def test_generators_route_commutes_from_a_fresh_action_memo(L_2111_at_minus_4, monkeypatch):
+    alg = Algebra(L_2111_at_minus_4.partition)
+    seen = []
+    orig = GeneratorBasis.poly_commutator
+
+    def spy(basis, P, Q):
+        if not seen:
+            seen.append(_fresh(alg._act_cache))
+        return orig(basis, P, Q)
+
+    monkeypatch.setattr(GeneratorBasis, "poly_commutator", spy)
+    rep = yangian_check_L(L_2111_at_minus_4)
+    assert rep["strategy"] == "generators" and rep["pass"]
+    assert seen == [True]
 
 
 def test_poly_mul_straightens_a_long_word_without_recursion():
