@@ -205,8 +205,11 @@ def _render_report(rep: dict) -> str:
     return "\n".join(lines)
 
 
-def _finish(rep: dict, fmt: str) -> int:
-    _emit(rep, fmt, lambda: _render_report(rep))
+def _finish(rep: dict, args) -> int:
+    """Print the report, with --seed echoed into it, and give the exit code."""
+    if args.seed is not None:
+        rep["seed"] = args.seed
+    _emit(rep, args.format, lambda: _render_report(rep))
     return 0 if rep["pass"] else 1
 
 
@@ -295,9 +298,7 @@ def _cmd_check(args) -> int:
             raise ValueError(f"check {which} requires --n")
         rep = capelli_suite(args.n) if which == "capelli" \
             else rho_det_identities(args.n)
-        if args.seed is not None:
-            rep["seed"] = args.seed
-        return _finish(rep, args.format)
+        return _finish(rep, args)
 
     if args.partition is None:
         raise ValueError(f"check {which} requires --partition")
@@ -317,9 +318,7 @@ def _cmd_check(args) -> int:
             raise ValueError(f"unknown check {which!r}")
     except ArithmeticError as exc:
         rep = _report(which, p, f2, False, [{"error": str(exc)}])
-    if args.seed is not None:
-        rep["seed"] = args.seed
-    return _finish(rep, args.format)
+    return _finish(rep, args)
 
 
 def _cmd_generators(args) -> int:
@@ -334,7 +333,7 @@ def _cmd_relations(args) -> int:
         rep = relation_table_check(_generators_for(p, args.family))
     except ArithmeticError as exc:
         rep = _report("relations", p, None, False, [{"error": str(exc)}])
-    return _finish(rep, args.format)
+    return _finish(rep, args)
 
 
 def _cmd_conjecture(args) -> int:
@@ -351,7 +350,7 @@ def _cmd_conjecture(args) -> int:
         rep = conjecture_check(p, g, f2)
     except ArithmeticError as exc:
         rep = _report("conjecture", p, f2, False, [{"error": str(exc)}])
-    return _finish(rep, args.format)
+    return _finish(rep, args)
 
 
 # ---------------------------------------------------------------------------

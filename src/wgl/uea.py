@@ -19,7 +19,8 @@ when the product is that monomial with coefficient 1, and otherwise a flat
 The brackets are the gl_N structure constants for U(g) (`Algebra._lm_cache`)
 and for its action on M = U(g)/I (`Algebra._act_cache`), and a generator
 family's table in `walgebra.GeneratorBasis`, whose brackets may be words.
-`_fold`, the only way in, multiplies a sum of words onto normal monomials.
+`_fold` multiplies a sum of words onto normal monomials, and so does
+`quotient._left_action`, on its own (see `_LM_CACHE_CAP`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ Coeff = Union[int, Fraction]
 # takes about 165 bytes (tracemalloc: clearing the action memo that
 # `build_L` fills on (2,1,1) at floor -8, 137,589 entries, frees 22.9 MB),
 # so about 500 MB.
+# `quotient._left_action` straightens in the U(g) memo without `_fold`: it
+# reads the rows itself and applies this cap, so a change to the row layout
+# or to the cap must update it as well.
 _LM_CACHE_CAP = 3_000_000
 
 

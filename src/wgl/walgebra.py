@@ -24,6 +24,7 @@ ints throughout; a report renders its floor as a half-integer string, or
 None when the computation is exact (no truncation).
 """
 
+from itertools import combinations, product
 from typing import Optional
 
 from .pyramid import (
@@ -345,11 +346,10 @@ def w_membership_check(L: LOperator) -> dict:
                 checked += 1
                 w = ad_invariant_witness(se.terms[n2])
                 if w is not None:
-                    a, b = w
                     witnesses.append({
                         "entry": (i + 1, j + 1),
                         "zpow": half_str(n2),
-                        "letter": f"e[{a}][{b}]",
+                        "letter": L.reduced.alg.gen(*w).to_text(),
                     })
     return _report("membership", L.partition, L.floor2, not witnesses, witnesses,
                    coefficients_checked=checked)
@@ -419,22 +419,18 @@ _MAX_N = 4
 def capelli_suite(N: int) -> dict:
     """Row determinant of z + E + diag(0,-1,...,-N+1) over gl_N: its z
     coefficients generate the center, which we verify by brute force, for
-    N up to _MAX_N."""
+    N up to _MAX_N.
+
+    z + E is the production shifted matrix of the partition (1^N)
+    (`build_shifted_matrix`): every letter has degree 0, and there is no F
+    and no D, so the check reads the matrix that L(z) is built from.
+    """
     if not 1 <= N <= _MAX_N:
         raise ValueError(f"N = {N} outside 1..{_MAX_N}")
     p = Partition((1,) * N)
     alg = Algebra(p)
-    rows = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            terms = {0: alg.gen(Box(j + 1, 1), Box(i + 1, 1))}
-            if i == j:
-                terms[0] = terms[0] + alg.scalar(-i)
-                terms[2] = alg.one()
-            row.append(SeriesElem(alg, terms, None))
-        rows.append(row)
-    det = noncomm_det(SeriesMatrix(alg, rows), mode="row")
+    shift = SeriesMatrix.from_scalar(alg, ScalarMatrix.diag(range(0, -N, -1)))
+    det = noncomm_det(build_shifted_matrix(p) + shift, mode="row")
 
     witnesses = []
     coeffs = []
@@ -457,7 +453,10 @@ def rho_det_identities(N: int) -> dict:
 
     (a) projecting the row determinant of E + D to the quotient equals the
         row determinant of the projected matrix (with F added), for D = 0
-        and for the Capelli shift;
+        and for the Capelli shift; the left side is built here, the right
+        side is the z^0 coefficient of the row determinant of the shifted
+        matrix (`build_shifted_matrix`), whose D is the Capelli shift
+        diag(0,-1,...,-N+1), with D taken off for D = 0;
     (b) at N = 2, the row- and column-ordered determinants differ by
         e11 - e22 after projection;
     (c) on the shifted matrix, row determinant = column determinant, and
@@ -480,26 +479,16 @@ def rho_det_identities(N: int) -> dict:
         if not ok:
             witnesses.append({"identity": name, "detail": detail})
 
-    for tag, dvals in (("D=0", [0] * N),
-                       ("D=capelli", [-i for i in range(N)])):
+    A = build_shifted_matrix(p)
+    rd = noncomm_det(A, "row")
+    no_D = A - SeriesMatrix.from_scalar(alg, shift_matrix(p))
+    for tag, dvals, right in (("D=0", [0] * N, noncomm_det(no_D, "row")),
+                              ("D=capelli", [-i for i in range(N)], rd)):
         Erows = [[SeriesElem.from_element(
             alg, elem(i + 1, j + 1) + (alg.scalar(dvals[i]) if i == j else alg.zero()))
             for j in range(N)] for i in range(N)]
         lhs = reduce_mod_I(noncomm_det(SeriesMatrix(alg, Erows), "row").coeff2(0))
-        rrows = []
-        for i in range(N):
-            row = []
-            for j in range(N):
-                e = alg.zero()
-                if i <= j:
-                    e = e + elem(i + 1, j + 1)
-                if i == j + 1:
-                    e = e + alg.one()
-                if i == j:
-                    e = e + alg.scalar(dvals[i])
-                row.append(SeriesElem.from_element(alg, e))
-            rrows.append(row)
-        rhs = reduce_mod_I(noncomm_det(SeriesMatrix(alg, rrows), "row").coeff2(0))
+        rhs = reduce_mod_I(right.coeff2(0))
         ok = lhs == rhs
         note(f"project(rdet(E+D)) = rdet(proj E + F + D), {tag}", ok,
              None if ok else (lhs - rhs).to_text())
@@ -515,9 +504,7 @@ def rho_det_identities(N: int) -> dict:
         note("project(rdet E) - project(cdet E) = e11 - e22", ok,
              None if ok else (lhs - rhs).to_text())
 
-    A = build_shifted_matrix(p)
     corner, scales = corner_positions(p), _inner_scales(p)
-    rd = noncomm_det(A, "row")
     cd = noncomm_det(A, "column")
     qd = quasideterminant(A, *corner, None, None, *scales).data[0][0]
     sign = (-1) ** (N + 1)
@@ -554,6 +541,11 @@ def rho_det_identities(N: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # generator families
+
+
+def _w_text(key) -> str:
+    """The generator with table key (i, j, k), written w[i,j;k]."""
+    return "w[{},{};{}]".format(*key)
 
 
 class WGenerators:
@@ -603,8 +595,8 @@ class WGenerators:
 
     def to_text(self) -> str:
         lines = [f"{self.family} generators for partition {self.partition}"]
-        for (i, j, k) in self.sorted_keys():
-            lines.append(f"  w[{i},{j};{k}] = {self.table[(i, j, k)].to_text()}")
+        for key in self.sorted_keys():
+            lines.append(f"  {_w_text(key)} = {self.table[key].to_text()}")
         return "\n".join(lines)
 
 
@@ -670,7 +662,7 @@ def _minimal_table(p: Partition) -> dict:
 
 
 def _family(name: str) -> tuple:
-    """(fits, build table, check table) of the named family in `FAMILIES`."""
+    """(fits, build table, brackets) of the named family in `FAMILIES`."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
     return FAMILIES[name]
@@ -692,9 +684,8 @@ def family_generators(p: Partition, family: str) -> WGenerators:
     for key in sorted(table):
         w = ad_invariant_witness(table[key])
         if w is not None:
-            i, j, k = key
-            raise ArithmeticError(
-                f"w[{i},{j};{k}] is not invariant: moved by e[{w[0]}][{w[1]}]")
+            raise ArithmeticError(f"{_w_text(key)} is not invariant: moved by "
+                                  f"{table[key].alg.gen(*w).to_text()}")
     return WGenerators(family=family, partition=p, table=table)
 
 
@@ -722,7 +713,7 @@ def _top_symbol_projection(alg: Algebra, weighted: list, d2top: int):
     poly = {}
     for w2, mono, c in weighted:
         if w2 > d2top:
-            return False, {"monomial": [str(alg.letters[lid]) for lid in mono],
+            return False, {"monomial": UEAElement(alg, {mono: 1}).to_text(),
                            "weight": half_str(w2)}
         if w2 < d2top:
             continue
@@ -819,7 +810,7 @@ class GeneratorBasis:
         self.reps = [g.table[lab] for lab in self.labels]
         for lab in self.labels:
             if tops[lab][1] is not None:
-                raise ArithmeticError(f"family element w[{lab[0]},{lab[1]};{lab[2]}] "
+                raise ArithmeticError(f"family element {_w_text(lab)} "
                                       f"does not reduce to its own symbol")
         # the constant of every Horner evaluation; the benchmark tracer
         # reads this table's size, so it stays, with its one entry
@@ -827,17 +818,13 @@ class GeneratorBasis:
         self._bracket_cache: dict = {}
         self._nf_cache = _Space(self.bracket)
 
-    def label_text(self, n: int) -> str:
-        i, j, k = self.labels[n]
-        return f"w[{i},{j};{k}]"
-
     def poly_text(self, poly: dict) -> str:
         if not poly:
             return "0"
         bits = []
         for mono in sorted(poly):
             c = poly[mono]
-            word = "*".join(self.label_text(n) for n in mono) or "1"
+            word = "*".join(_w_text(self.labels[n]) for n in mono) or "1"
             bits.append(f"{'+' if c > 0 else '-'} {abs(c)}*{word}")
         return " ".join(bits).lstrip("+ ")
 
@@ -910,7 +897,7 @@ class GeneratorBasis:
             for mono in poly:
                 if sum(self.w2[n] for n in mono) > bound:
                     raise ArithmeticError(
-                        f"bracket [{self.label_text(x)},{self.label_text(y)}] "
+                        f"bracket [{_w_text(self.labels[x])},{_w_text(self.labels[y])}] "
                         f"breaks the filtration inequality")
             hit = tuple((m[0] if len(m) == 1 else m, c) for m, c in poly.items())
             self._bracket_cache[(x, y)] = hit
@@ -933,134 +920,110 @@ def _generating_family(p: Partition) -> Optional[str]:
 # commutator tables
 
 
-def _check_principal_table(g: WGenerators, witnesses: list):
-    keys = g.sorted_keys()
-    for a in keys:
-        for b in keys:
-            if a >= b:
-                continue
-            d = w_commutator(g.table[a], g.table[b])
-            if not d.is_zero():
-                witnesses.append({"pair": (a, b), "commutator": d.to_text()})
+def _principal_relations(g: WGenerators):
+    """The principal generators commute: one bracket with value zero for
+    each pair of keys, the smaller key first."""
+    zero = reduce_mod_I(Algebra(g.partition).zero())
+    for a, b in combinations(g.sorted_keys(), 2):
+        yield a, b, zero
 
 
-def _check_rectangular_table(g: WGenerators, witnesses: list):
+def _rectangular_relations(g: WGenerators):
+    """[w_{ab;h}, w_{cd;k}] = sum_n (w_{ad;h+n+1} w_{cb;k-n} - w_{ad;k-n} w_{cb;h+n+1}),
+    n = 0..min(p1-1-h, k), for all a, b, c, d and h, k < p1.
+
+    The second factor's index order follows from telescoping the defining
+    identity of Yangian-type operators applied to the polynomial form of
+    L(z); with both indices equal it reduces to the commonly quoted special
+    case.  The boundary convention is w_{ij;p1} = -1 for i = j, else 0.
+    """
     p = g.partition
     p1, r = p.parts[0], p.r
     alg = Algebra(p)
 
     def w(i, j, k):
-        # boundary convention: w_{ji;p1} is -1 for i = j, else 0
         if k == p1:
             return reduce_mod_I(alg.scalar(-1 if i == j else 0))
         return g.table[(i, j, k)]
 
-    # [w_{ab;h}, w_{cd;k}] = sum_n (w_{ad;h+n+1} w_{cb;k-n} - w_{ad;k-n} w_{cb;h+n+1}),
-    # n = 0..min(p1-1-h, k).  The second factor's index order follows from
-    # telescoping the defining identity of Yangian-type operators applied to
-    # the polynomial form of L(z); with both indices equal it reduces to the
-    # commonly quoted special case.
     idx = range(1, r + 1)
-    for a in idx:
-        for b in idx:
-            for c in idx:
-                for d in idx:
-                    for h in range(p1):
-                        for k in range(p1):
-                            lhs = w_commutator(w(a, b, h), w(c, d, k))
-                            rhs = reduce_mod_I(alg.zero())
-                            for n in range(min(p1 - 1 - h, k) + 1):
-                                rhs = rhs + w_product(w(a, d, h + n + 1), w(c, b, k - n))
-                                rhs = rhs - w_product(w(a, d, k - n), w(c, b, h + n + 1))
-                            if lhs != rhs:
-                                witnesses.append({
-                                    "bracket": f"[w[{a},{b};{h}], w[{c},{d};{k}]]",
-                                    "difference": (lhs - rhs).to_text(),
-                                })
+    for a, b, c, d, h, k in product(idx, idx, idx, idx, range(p1), range(p1)):
+        rhs = reduce_mod_I(alg.zero())
+        for n in range(min(p1 - 1 - h, k) + 1):
+            rhs = rhs + w_product(w(a, d, h + n + 1), w(c, b, k - n))
+            rhs = rhs - w_product(w(a, d, k - n), w(c, b, h + n + 1))
+        yield (a, b, h), (c, d, k), rhs
 
 
-def _check_minimal_table(g: WGenerators, witnesses: list):
-    p = g.partition
-    n = p.N - 2
+def _minimal_relations(g: WGenerators):
+    """The displayed brackets of the minimal family, with A = w_{11;1},
+    B = w_{11;0}, R_a = w_{a+2,1;0}, C_a = w_{1,a+2;0} and
+    M_ab = w_{b+2,a+2;0} for a, b < N-2:
+        [A, B] = [A, M_ij] = [B, M_ij] = [R_a, R_b] = [C_a, C_b] = 0,
+        [A, R_a] = -R_a,  [A, C_a] = C_a,
+        [B, R_a] = R_a A - sum_b R_b M_ba,  [B, C_a] = sum_b M_ab C_b - A C_a,
+        [C_a, R_b] = A M_ab + delta_ab B - sum_c M_ac M_cb,
+        [M_ij, R_k] = delta_ik R_j,  [M_ij, C_k] = -delta_jk C_i,
+        [M_ij, M_hk] = delta_ik M_hj - delta_jh M_ik."""
+    n = g.partition.N - 2
     T = g.table
-    A, B = T[(1, 1, 1)], T[(1, 1, 0)]
-    R = {a: T[(a + 2, 1, 0)] for a in range(n)}     # w_{a+2,1;0}
-    C = {a: T[(1, a + 2, 0)] for a in range(n)}     # w_{1,a+2;0}
-    M = {(a, b): T[(b + 2, a + 2, 0)] for a in range(n) for b in range(n)}
-    zero = reduce_mod_I(Algebra(p).zero())
+    zero = reduce_mod_I(Algebra(g.partition).zero())
+    A, B = (1, 1, 1), (1, 1, 0)
+    R = [(a + 2, 1, 0) for a in range(n)]
+    C = [(1, a + 2, 0) for a in range(n)]
+    M = [[(b + 2, a + 2, 0) for b in range(n)] for a in range(n)]
 
-    expected = {}
-    expected[("A", "B")] = zero
+    def wp(x, y):
+        return w_product(T[x], T[y])
+
+    def total(values):
+        return sum(values, zero)
+
+    yield A, B, zero
     for a in range(n):
-        expected[("A", ("R", a))] = -R[a]
-        expected[("A", ("C", a))] = C[a]
-        eB_R = w_product(R[a], A)
+        yield A, R[a], -T[R[a]]
+        yield A, C[a], T[C[a]]
+        yield B, R[a], wp(R[a], A) - total(wp(R[b], M[b][a]) for b in range(n))
+        yield B, C[a], total(wp(M[a][b], C[b]) for b in range(n)) - wp(A, C[a])
         for b in range(n):
-            eB_R = eB_R - w_product(R[b], M[(b, a)])
-        expected[("B", ("R", a))] = eB_R
-        eB_C = -w_product(A, C[a])
-        for b in range(n):
-            eB_C = eB_C + w_product(M[(a, b)], C[b])
-        expected[("B", ("C", a))] = eB_C
-        for b in range(n):
-            expected[(("R", a), ("R", b))] = zero
-            expected[(("C", a), ("C", b))] = zero
-            eCR = w_product(A, M[(a, b)])
-            if a == b:
-                eCR = eCR + B
-            for c in range(n):
-                eCR = eCR - w_product(M[(a, c)], M[(c, b)])
-            expected[(("C", a), ("R", b))] = eCR
-    for i in range(n):
-        for j in range(n):
-            expected[("A", ("M", i, j))] = zero
-            expected[("B", ("M", i, j))] = zero
-            for k in range(n):
-                expected[(("M", i, j), ("R", k))] = R[j] if i == k else zero
-                expected[(("M", i, j), ("C", k))] = -C[i] if j == k else zero
-                for h in range(n):
-                    e = zero
-                    if i == k:
-                        e = e + M[(h, j)]
-                    if j == h:
-                        e = e - M[(i, k)]
-                    expected[(("M", i, j), ("M", h, k))] = e
-
-    def resolve(lab):
-        if lab == "A":
-            return A
-        if lab == "B":
-            return B
-        if lab[0] == "R":
-            return R[lab[1]]
-        if lab[0] == "C":
-            return C[lab[1]]
-        return M[(lab[1], lab[2])]
-
-    for (l1, l2), want in expected.items():
-        got = w_commutator(resolve(l1), resolve(l2))
-        if got != want:
-            witnesses.append({"bracket": f"[{l1}, {l2}]",
-                              "difference": (got - want).to_text()})
+            yield R[a], R[b], zero
+            yield C[a], C[b], zero
+            yield C[a], R[b], (wp(A, M[a][b]) + (T[B] if a == b else zero)
+                               - total(wp(M[a][c], M[c][b]) for c in range(n)))
+    for i, j in product(range(n), range(n)):
+        yield A, M[i][j], zero
+        yield B, M[i][j], zero
+        for k in range(n):
+            yield M[i][j], R[k], T[R[j]] if i == k else zero
+            yield M[i][j], C[k], -T[C[i]] if j == k else zero
+            for h in range(n):
+                yield M[i][j], M[h][k], ((T[M[h][j]] if i == k else zero)
+                                         - (T[M[i][k]] if j == h else zero))
 
 
 # The generator families with closed descriptions, in the order in which
 # `_generating_family` tries them: name -> (fits the partition, build the
-# table, check the commutator table).
+# table, the displayed brackets).  The brackets of a family's table g come
+# as (key, key, expected value) triples, in the order its witnesses list
+# them, with every product a W-product (`w_product`).
 FAMILIES = {
     "minimal": (lambda p: p.parts[0] == 2 and all(q == 1 for q in p.parts[1:]),
-                _minimal_table, _check_minimal_table),
-    "rectangular": (lambda p: p.r == p.r1, _polynomial_table, _check_rectangular_table),
-    "principal": (lambda p: p.r == 1, _polynomial_table, _check_principal_table),
+                _minimal_table, _minimal_relations),
+    "rectangular": (lambda p: p.r == p.r1, _polynomial_table, _rectangular_relations),
+    "principal": (lambda p: p.r == 1, _polynomial_table, _principal_relations),
 }
 
 
 def relation_table_check(g: WGenerators) -> dict:
-    """Verify the complete displayed commutator table of the family.  Every
-    product in it is the W-product `w_product`; the tests check it against
-    `ucirc_mul` on every pair of table entries."""
-    witnesses = []
-    _family(g.family)[2](g, witnesses)
+    """Verify the complete displayed commutator table of the family: for
+    each bracket of its `FAMILIES` entry, the W-commutator of the two table
+    entries must equal the expected value.  A witness names the bracket and
+    the difference, commutator minus expected value.  The tests check
+    `w_product` against `ucirc_mul` on every pair of table entries."""
+    T = g.table
+    witnesses = [{"bracket": f"[{_w_text(a)}, {_w_text(b)}]", "difference": d.to_text()}
+                 for a, b, want in _family(g.family)[2](g)
+                 if not (d := w_commutator(T[a], T[b]) - want).is_zero()]
     return _report("relations", g.partition, None, not witnesses, witnesses,
                    family=g.family, generators=len(g.table))
 

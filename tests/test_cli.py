@@ -138,6 +138,16 @@ def test_seed_is_echoed(capsys):
     assert json.loads(out)["seed"] == 7
 
 
+@pytest.mark.parametrize("command", ["relations", "conjecture"])
+def test_seed_is_echoed_by_the_table_commands(capsys, command):
+    code, out, _ = run(capsys, command, "--partition", "2,1", "--seed", "7",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 7
+    code, out, _ = run(capsys, command, "--partition", "2,1", "--seed", "7")
+    assert code == 0 and "\nseed: 7\n" in out
+
+
 def test_output_is_deterministic(capsys):
     args = ("check", "identities", "--n", "2", "--format", "json")
     _, first, _ = run(capsys, *args)

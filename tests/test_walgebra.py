@@ -526,7 +526,7 @@ def test_membership_check_names_the_non_invariant_coefficient():
     assert ad_invariant_witness(letter) is not None
     rep = w_membership_check(_with_entry(L, "reduced", 0, 0, 0, letter))
     assert rep["pass"] is False
-    assert [(w["entry"], w["zpow"]) for w in rep["witnesses"]] == [((1, 1), "0")]
+    assert rep["witnesses"] == [{"entry": (1, 1), "zpow": "0", "letter": "e[(1,1),(2,1)]"}]
 
 
 def test_main_lemma_check_names_a_perturbed_coefficient(monkeypatch):
@@ -556,6 +556,20 @@ def test_premet_check_names_a_perturbed_generator():
         == [(key, "wrong top symbol")]
 
 
+def test_premet_check_names_a_monomial_above_the_filtration_level():
+    g = family_generators(Partition((2, 1)), "minimal")
+    key = (1, 1, 0)
+    e = Algebra(g.partition).gen(Box(1, 2), Box(1, 1))
+    # w[1,1;0] has doubled weight 4; each e[(1,2),(1,1)] weighs 2
+    bad = WGenerators(g.family, g.partition,
+                      {**g.table, key: reduce_mod_I(g.table[key] + e * e * e)})
+    rep = premet_check(bad)
+    assert rep["pass"] is False
+    assert rep["witnesses"] == [{
+        "generator": key, "reason": "filtration level exceeded",
+        "monomial": "e[(1,2),(1,1)]*e[(1,2),(1,1)]*e[(1,2),(1,1)]", "weight": "6"}]
+
+
 def test_relation_table_check_names_the_broken_bracket():
     g = family_generators(Partition((2, 1)), "minimal")
     key = (1, 1, 0)
@@ -566,7 +580,7 @@ def test_relation_table_check_names_the_broken_bracket():
     bad = WGenerators(g.family, g.partition, {**g.table, key: shifted})
     rep = relation_table_check(bad)
     assert rep["pass"] is False
-    assert rep["witnesses"] == [{"bracket": "[('C', 0), ('R', 0)]", "difference": "-1"}]
+    assert rep["witnesses"] == [{"bracket": "[w[1,2;0], w[2,1;0]]", "difference": "-1"}]
 
 
 def test_rectangular_relation_table_check_names_the_broken_bracket():
@@ -598,8 +612,8 @@ def test_principal_relation_table_check_names_the_broken_bracket():
     bad = WGenerators(g.family, g.partition, {**g.table, key: bumped})
     rep = relation_table_check(bad)
     assert rep["pass"] is False
-    assert rep["witnesses"] == [{"pair": ((1, 1, 0), (1, 1, 1)),
-                                 "commutator": "-e[(1,2),(1,1)]"}]
+    assert rep["witnesses"] == [{"bracket": "[w[1,1;0], w[1,1;1]]",
+                                 "difference": "-e[(1,2),(1,1)]"}]
 
 
 def test_capelli_suite_names_a_non_central_coefficient(monkeypatch):
@@ -640,3 +654,39 @@ def test_identities_check_names_a_disagreeing_quasideterminant_route(monkeypatch
     code = main(["check", "identities", "--n", "2", "--format", "json"])
     out, err = capsys.readouterr()
     assert (code, err) == (1, "") and json.loads(out)["witnesses"] == witnesses
+
+
+def _perturbed_shifted_matrix(monkeypatch, kind):
+    """Make the package's `build_shifted_matrix` drop D ("no D") or gain a
+    unit at z^0 in entry (1,2), above the diagonal ("superdiagonal")."""
+    import wgl.walgebra
+    from wgl.pyramid import ScalarMatrix, shift_matrix
+
+    orig = wgl.walgebra.build_shifted_matrix
+
+    def build(p):
+        A = orig(p)
+        if kind == "no D":
+            return A - SeriesMatrix.from_scalar(A.alg, shift_matrix(p))
+        unit = [[int((i, j) == (0, 1)) for j in range(p.N)] for i in range(p.N)]
+        return A + SeriesMatrix.from_scalar(A.alg, ScalarMatrix.from_rows(unit))
+
+    monkeypatch.setattr(wgl.walgebra, "build_shifted_matrix", build)
+
+
+@pytest.mark.parametrize("kind", ["no D", "superdiagonal"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_identities_read_the_production_shifted_matrix(monkeypatch, kind, n):
+    assert rho_det_identities(n)["pass"] is True
+    _perturbed_shifted_matrix(monkeypatch, kind)
+    rep = rho_det_identities(n)
+    assert rep["pass"] is False
+    failed = {w["identity"] for w in rep["witnesses"]}
+    assert {f"project(rdet(E+D)) = rdet(proj E + F + D), {tag}"
+            for tag in ("D=0", "D=capelli")} <= failed
+
+
+def test_capelli_suite_reads_the_production_shifted_matrix(monkeypatch):
+    assert capelli_suite(3)["pass"] is True
+    _perturbed_shifted_matrix(monkeypatch, "superdiagonal")
+    assert capelli_suite(3)["pass"] is False

@@ -15,9 +15,12 @@ printed per cell:
 - `pass`, `strategy`: those fields of the command's report, null when
   stdout is not a JSON report object (give `--format json` to a check).
 
-The child's report goes to a temporary directory and the child writes no
-bytecode, so a run leaves nothing in the checkout.  Standard library only;
-it lives outside the test paths and is not part of the benchmark.
+The child's report and the package's bytecode go to a temporary directory
+(`PYTHONPYCACHEPREFIX`), so a run leaves nothing in the checkout.  One import
+of `wgl.cli` compiles the package there before the first cell, so no cell's
+peak memory includes the compiler's, which grows with the source.  Standard
+library only; it lives outside the test paths and is not part of the
+benchmark.
 """
 
 from __future__ import annotations
@@ -30,16 +33,24 @@ import sys
 import tempfile
 from pathlib import Path
 
-CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+ROOT = Path(__file__).resolve().parent.parent
+CHILD = ROOT / "perfbench" / "child.py"
 # a check's JSON report is a few kB; longer output (L(z)) is counted, not kept
 _REPORT_CAP = 1 << 20
+
+
+def _env(work: Path) -> dict:
+    """The environment of every process: bytecode goes under work."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(work / "pycache")}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
 
 
 def run_cell(argv: list, work: Path) -> dict:
     """Run one `wgl` argv through the child and describe what it did."""
     report_path = work / "report.json"
     cmd = [sys.executable, str(CHILD), str(report_path), "0", "frontier", "--", *argv]
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env = _env(work)
     kept, size = [], 0
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stdin=subprocess.DEVNULL, env=env)
     try:
@@ -81,6 +92,8 @@ def main(cells: list) -> int:
         print("usage: frontier.py 'WGL-ARGS' ...", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="wgl-frontier-") as work:
+        subprocess.run([sys.executable, "-c", "import wgl.cli"], check=True,
+                       env={**_env(Path(work)), "PYTHONPATH": str(ROOT / "src")})
         for cell in cells:
             print(json.dumps(run_cell(shlex.split(cell), Path(work))), flush=True)
     return 0
