@@ -280,10 +280,6 @@ def _cmd_L(args) -> int:
     p = _partition(args.partition)
     # the text prints only the reduced L(z), so only JSON needs the lift
     L = build_L(p, _parse_floor(args.floor), lift=args.format == "json")
-    # rendering forms no product, and terms key by monomials, not memo ids
-    alg = Algebra(p)
-    alg._lm_cache.clear()
-    alg._act_cache.clear()
     _emit(L.to_json_obj(), args.format, L.to_text)
     return 0
 
@@ -357,14 +353,16 @@ def _cmd_conjecture(args) -> int:
 # argument parsing
 
 
-def _add_common(sp, floor=True):
+def _add_common(sp, floor=True, seed=True):
+    # a command that prints no report takes no --seed: passing one exits 2
     sp.add_argument("--partition", help="comma-separated parts, e.g. 2,1")
     if floor:
         sp.add_argument("--floor",
                         help="lowest kept power of z (integer or n/2)")
     sp.add_argument("--format", choices=("json", "text"), default="text")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="echoed into the report; no command here is randomized")
+    if seed:
+        sp.add_argument("--seed", type=int, default=None,
+                        help="echoed into the report; no command here is randomized")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("L", help="print L(z) for a partition")
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.set_defaults(fn=_cmd_L)
 
     sp = sub.add_parser("check", help="run one verification")
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_check)
 
     sp = sub.add_parser("generators", help="print a closed generator family")
-    _add_common(sp, floor=False)
+    _add_common(sp, floor=False, seed=False)
     sp.add_argument("--family", choices=FAMILIES, default=None,
                     help="family name (default: inferred from the partition)")
     sp.set_defaults(fn=_cmd_generators)

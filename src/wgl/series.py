@@ -16,16 +16,17 @@ decaying, and A^{-1}·Y comes by one long division: to a floor, with the
 floors the product rule gives, or, with no floor, exactly, to a depth fixed
 in advance at which the division provably ends.  `invert_matrix` is
 `solve` against the identity.  The submatrix route `quasideterminant`
-makes one solve; its oracle `quasideterminant_by_definition` makes one
-solve and one inversion.
+makes one solve; the definition route `quasideterminant_by_definition`,
+its oracle and the left side of the main lemma, makes one solve and one
+inversion.
 
-Series and matrix products, inversion, quasideterminants and the Yangian
-identity check take the ring product used on coefficients as `mul` (the
-U(g) product by default), so the same matrix calculus serves U(g), the
-W-algebra product on M and, in the tests, the opposite product.  Since
-`solve` and the submatrix route only multiply onto partial results, `mul`
-may also be the action of U(g) on M.  Determinants, the definition route
-and the mixed inverse identity always use the U(g) product.
+Series and matrix products, inversion, both quasideterminant routes and
+the Yangian identity check take the ring product used on coefficients as
+`mul` (the U(g) product by default), so the same matrix calculus serves
+U(g), the W-algebra product on M and, in the tests, the opposite product.
+Since `solve` and the submatrix route only multiply onto partial results,
+`mul` may also be the action of U(g) on M.  Determinants and the mixed
+inverse identity always use the U(g) product.
 
 The two bivariate identity checks add the coefficient grids of lhs - rhs
 for one index quadruple into a single term map and report its lowest
@@ -447,10 +448,11 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
 
     X comes by long division (`_divide`): row i to f2 - cs[i] or deeper, or,
     with no f2, exactly, to a depth fixed in advance at which the division
-    provably ends, else ArithmeticError.  With no f2, a pivot off z^0 or an
-    input with a floor raises ArithmeticError before any product.  Every
-    product but the pivot's multiplies onto a partial result, so `mul` may
-    be the action on M when Y is reduced.
+    provably ends, else ArithmeticError; that depth alone decides an exact
+    solve, wherever the pivot sits.  With no f2, an input with a floor
+    raises ArithmeticError before any product.  Every product but the
+    pivot's multiplies onto a partial result, so `mul` may be the action on
+    M when Y is reduced.
     """
     if A.rows != A.cols:
         raise ValueError("matrix not square")
@@ -461,10 +463,8 @@ def solve(A: SeriesMatrix, Y: SeriesMatrix, mul: Optional[MulFn] = None,
     if col_scale is not None:
         M = M.scale_cols(col_scale)
     d2, Cinv = _detect_pivot(M)
-    if f2 is None and (d2 or any(e.floor2 is not None
-                                 for S in (M, Y0) for row in S.data for e in row)):
-        why = f"the pivot sits at z^{half_str(d2)}" if d2 else "an input has a floor"
-        raise ArithmeticError(f"{why}: solving needs a floor")
+    if f2 is None and any(e.floor2 is not None for S in (M, Y0) for row in S.data for e in row):
+        raise ArithmeticError("an input has a floor: solving needs a floor")
 
     pre = SeriesMatrix.from_scalar(alg, Cinv, -d2)
     negT = SeriesMatrix.identity(alg, n) - pre.matmul(M, mul)
@@ -569,9 +569,12 @@ def quasideterminant(A: SeriesMatrix, rows: Sequence[int], cols: Sequence[int],
 
 
 def quasideterminant_by_definition(A: SeriesMatrix, rows: Sequence[int],
-                                   cols: Sequence[int], f2: int, top2: int) -> SeriesMatrix:
-    """(J1·A^{-1}·I1)^{-1} as defined, with I1 and J1 as in
-    `quasideterminant`, in the U(g) product: the oracle for that route.
+                                   cols: Sequence[int], f2: int, top2: int,
+                                   mul: Optional[MulFn] = None,
+                                   row_scale=None, col_scale=None) -> SeriesMatrix:
+    """(J1·A^{-1}·I1)^{-1} as defined (Gelfand–Gelfand–Retakh–Wilson), with
+    I1 and J1 as in `quasideterminant`: the oracle for that route, and the
+    left side of the main lemma (`walgebra.main_lemma_sides`).
 
     top2 is the doubled top exponent of the result, so the sandwich
     S = J1·A^{-1}·I1 tops out at z^{-top2/2}, and its inverse to f2 needs S
@@ -579,11 +582,14 @@ def quasideterminant_by_definition(A: SeriesMatrix, rows: Sequence[int],
     X = A^{-1}·I1 to f2 - 2·max(0, top2), and S, the rows `cols` of X, is
     inverted to f2.  A top2 below the true top leaves S too short: the
     floors propagate, and the result raises ArithmeticError.
+    `mul` serves the solve and the inversion, and row_scale / col_scale, as
+    in `quasideterminant`, the solve; `mul` may be the action on M when S is
+    invariant.
     """
     _check_corner(A, rows, cols)
     I1 = SeriesMatrix.identity(A.alg, A.rows).submatrix(range(A.rows), rows)
-    X = solve(A, I1, None, f2 - 2 * max(0, top2))
-    return _deliver(invert_matrix(X.submatrix(cols, range(len(rows))), f2), f2)
+    X = solve(A, I1, mul, f2 - 2 * max(0, top2), row_scale, col_scale)
+    return _deliver(invert_matrix(X.submatrix(cols, range(len(rows))), f2, mul), f2)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ from .series import (
     noncomm_det,
     quasideterminant,
     quasideterminant_by_definition,
-    solve,
     yangian_identity_check,
 )
 
@@ -233,16 +232,18 @@ def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOper
     exact polynomial; otherwise the requested (or default) doubled floor f2
     applies.
 
-    The action memo the build fills ends with it: no later stage reads its
-    rows, so the build in M clears it before returning.  The lift route
-    leaves both memos to its caller (`wgl L` clears them before printing).
+    No later stage reads the memo rows of the build: it returns with the
+    action memo fresh (on the lift route an earlier stage may have filled
+    it), and the lift route clears the U(g) memo it filled.
     """
     p1 = p.parts[0]
     f2 = None if p.r == p.r1 and f2 is None else _floor2_for(p, f2)
     q = quasideterminant(build_shifted_matrix(p), *corner_positions(p), f2,
                          None if lift else act, *_inner_scales(p))
-    if not lift:
-        Algebra(p)._act_cache.clear()
+    alg = Algebra(p)
+    alg._act_cache.clear()
+    if lift:
+        alg._lm_cache.clear()
     reduced = q.map_entries(_reduce_series)
     _check_start(reduced, 2 * p1, -((-1) ** p1), "L(z)")
     return LOperator(partition=p, floor2=f2, lift=q if lift else None, reduced=reduced)
@@ -280,36 +281,30 @@ def main_lemma_sides(p: Partition, f2: Optional[int] = None):
     quotient module: the corner quasideterminant of 1 + z^{-D}E applied to
     the cyclic vector, and z^{-p1} L(z).
 
-    The corner series J1·(1 + z^{-D}E)^{-1}·(I1·1) is one `solve` in the
-    action on M against the identity columns at the corner rows (a seed
-    that is already reduced), of which it keeps the rows at the corner
-    columns (`corner_positions`).  Entry (a,b) of z^{-D}E is
+    The left side is one `quasideterminant_by_definition` call in the action
+    on M at the corner positions (`corner_positions`): a solve against the
+    identity columns at the corner rows (a seed that is already reduced),
+    then the inversion of the corner series.  Entry (a,b) of z^{-D}E is
     z^{(x(b)-x(a))/2 - 1} e_{b,a}, so the row scale z^{x(a)/2} and the
     column scale z^{-x(b)/2} make every entry of the weighted letters a pure
-    z^{-1} term: the identity is the top pivot, and `solve` fixes the depth
-    of each term from f2, the requested doubled floor.
+    z^{-1} term: the identity is the top pivot, and the solve fixes the
+    depth of each term from f2, the requested doubled floor.  The corner
+    series is itself invariant (the inverse of an invariant series with
+    scalar leading coefficient), so its inversion may run in the action on
+    M, the W-product there.  It starts with ±1 at z^0, so top2 is 0.
     """
     alg = Algebra(p)
-    p1, r1 = p.parts[0], p.r1
+    p1 = p.parts[0]
     f2 = _floor2_for(p, f2)
     if f2 > -2 * p1:
         raise ValueError(f"floor must be at most -p1 = {-p1}")
-    rows, cols = corner_positions(p)
     xs = [x_coord(p, b) for b in boxes(p)]
-    one = SeriesMatrix.identity(alg, p.N)
-    X = solve(one + _weighted_E(alg), one.submatrix(range(p.N), rows), act, f2, xs,
-              [-x for x in xs])
-    Y0 = X.submatrix(cols, range(r1))
-    _check_start(Y0, 0, (-1) ** (p1 - 1), "the reduced corner series")
+    lhs = quasideterminant_by_definition(
+        SeriesMatrix.identity(alg, p.N) + _weighted_E(alg), *corner_positions(p), f2, 0,
+        act, xs, [-x for x in xs])
+    _check_start(lhs, 0, (-1) ** (p1 - 1), "the corner quasideterminant")
 
-    # The reduced corner series is itself invariant (it is the inverse of an
-    # invariant series with scalar leading coefficient), so its inversion can
-    # run entirely in the quotient subalgebra where multiplication of reduced
-    # representatives is well defined.  Exponents only add there, so the
-    # requested floor needs no extra margin.
-    lhs = invert_matrix(Y0.truncate2(f2), f2, w_product)
-
-    L = build_L(p, None if p.r == r1 else f2 + 2 * p1)
+    L = build_L(p, None if p.r == p.r1 else f2 + 2 * p1)
     rhs = L.reduced.map_entries(lambda e: e.shift2(-2 * p1)).truncate2(f2)
     return lhs, rhs
 
@@ -1052,15 +1047,11 @@ def conjecture_check(p: Partition, g: WGenerators, f2: Optional[int] = None) -> 
          for j in range(r)] for i in range(r)])
     M = diag + W
 
-    if r == r1:
+    if r == r1 and f2 is not None:
         # the comparison is exact, so a given floor is only range-checked
-        if f2 is not None:
-            _floor2_for(p, f2)
-        L = build_L(p)
-        cand = M
-    else:
-        L = build_L(p, f2)
-        cand = quasideterminant(M, range(r1), range(r1), L.floor2, w_product,
-                                row_scale=[-2 * q for q in p.parts])
-
+        _floor2_for(p, f2)
+        f2 = None
+    L = build_L(p, f2)
+    cand = quasideterminant(M, range(r1), range(r1), L.floor2, w_product,
+                            row_scale=[-2 * q for q in p.parts])
     return _first_diff_report("conjecture", p, L.floor2, L.reduced, cand, family=g.family)

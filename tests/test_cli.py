@@ -233,6 +233,15 @@ def test_n_outside_the_bound_is_usage_error(capsys, what, n):
     assert f"N = {n} outside 1..4" in err
 
 
+@pytest.mark.parametrize("command", ["L", "generators"])
+def test_seed_is_refused_by_the_commands_that_print_no_report(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--partition", "2", "--seed", "7"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments: --seed 7" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

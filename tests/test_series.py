@@ -135,24 +135,30 @@ def test_solve_keeps_T_whole(gl2):
     assert A.matmul(X).first_diff(Y) is None
 
 
-def test_a_decaying_pivot_with_no_floor_fails_before_any_product():
+def test_a_decaying_pivot_with_no_floor_is_refused_by_the_division():
     # z·1 + E over (2): the top pivot z^1 leaves T = z^{-1}E, whose powers
-    # never vanish, so there is nothing to sum without a floor
+    # never vanish, so the division runs past its bound without a floor
     alg = Algebra(Partition((2,)))
     A = SeriesMatrix(alg, [[SeriesElem(alg, {2: alg.one(), 0: alg.gen(b, a)} if a == b
                                        else {0: alg.gen(b, a)})
                             for b in alg.boxes] for a in alg.boxes])
-    calls = []
-
-    def mul(x, y):
-        calls.append((x, y))
-        return x * y
-
     with pytest.raises(ArithmeticError, match="needs a floor"):
-        invert_matrix(A, None, mul)
-    assert calls == []
-    assert A.matmul(invert_matrix(A, -6, mul), floor2=-6).first_diff(
+        invert_matrix(A, None)
+    assert A.matmul(invert_matrix(A, -6), floor2=-6).first_diff(
         SeriesMatrix.identity(alg, 2), -6) is None
+
+
+def test_an_exact_solve_with_a_pivot_off_z0_ends():
+    # [[z, 1], [0, z]]: the pivot z^1 leaves a nilpotent T, and the inverse
+    # [[z^-1, -z^-2], [0, z^-1]] is a Laurent polynomial
+    alg = Algebra(Partition((2,)))
+    one = alg.one()
+    A = SeriesMatrix(alg, [[SeriesElem(alg, {2: one}), SeriesElem(alg, {0: one})],
+                           [SeriesElem(alg, {}), SeriesElem(alg, {2: one})]])
+    inv = invert_matrix(A)
+    assert [[e.terms for e in row] for row in inv.data] == [
+        [{-2: one}, {-4: -one}], [{}, {-2: one}]]
+    assert {e.floor2 for row in inv.data for e in row} == {None}
 
 
 def test_a_matrix_known_only_above_its_pivot_is_refused():
@@ -302,12 +308,13 @@ def test_row_and_column_det_order_factors_differently(gl2, zE2):
 
 def test_quasideterminant_methods_agree(gl3, zE3):
     f2 = -6
-    qs = quasideterminant(zE3, [0], [0], f2)
-    # the corner of z + E tops out at z^1
-    qd = quasideterminant_by_definition(zE3, [0], [0], f2, 2)
-    assert qs.max_top2() == 2
-    assert qd.first_diff(qs, f2) is None
-    assert {e.floor2 for q in (qs, qd) for row in q.data for e in row} == {f2}
+    for mul in (None, opposite_mul):
+        qs = quasideterminant(zE3, [0], [0], f2, mul)
+        # the corner of z + E tops out at z^1
+        qd = quasideterminant_by_definition(zE3, [0], [0], f2, 2, mul)
+        assert qs.max_top2() == 2
+        assert qd.first_diff(qs, f2) is None
+        assert {e.floor2 for q in (qs, qd) for row in q.data for e in row} == {f2}
 
 
 def test_quasideterminant_of_full_selector_is_matrix_itself(gl2, zE2):

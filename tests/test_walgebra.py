@@ -333,10 +333,12 @@ def _fresh(space) -> bool:
 def test_build_L_in_M_ends_with_a_fresh_action_memo():
     p = Partition((2, 1, 1))
     alg = Algebra(p)
-    before = len(alg._lm_cache)
-    build_L(p, -4)
-    assert _fresh(alg._act_cache)
-    assert len(alg._lm_cache) == before
+    for lift in (False, True):
+        before = len(alg._lm_cache)
+        build_L(p, -4, lift)
+        assert _fresh(alg._act_cache)
+        # the lift route clears the U(g) memo it filled
+        assert _fresh(alg._lm_cache) if lift else len(alg._lm_cache) == before
 
 
 def test_generators_route_commutes_from_a_fresh_action_memo(L_2111_at_minus_4, monkeypatch):
@@ -491,6 +493,21 @@ def test_solve_is_a_right_inverse_of_the_weighted_matrix(parts):
     X = _check_right_inverse(A, I1, act, f2, xs, [-x for x in xs])
     corner = [X.data[j] for j in cols]
     assert {e.floor2 for row in corner for e in row} == {f2}
+
+
+def test_the_definition_route_gives_the_main_lemma_corner_with_the_scales():
+    # the main lemma's 1 + z^{-D}E on (2,1): with the scales x and -x its
+    # corner starts with (-1)^(p1-1) at z^0; without them the top
+    # coefficient matrix holds letters
+    p, f2 = Partition((2, 1)), -8
+    alg = Algebra(p)
+    xs = [x_coord(p, b) for b in boxes(p)]
+    A = SeriesMatrix.identity(alg, p.N) + _weighted_E(alg)
+    lhs = quasideterminant_by_definition(A, *corner_positions(p), f2, 0, act, xs,
+                                         [-x for x in xs])
+    _check_start(lhs, 0, (-1) ** (p.parts[0] - 1), "the corner")
+    with pytest.raises(ArithmeticError, match="no invertible scalar pivot"):
+        quasideterminant_by_definition(A, *corner_positions(p), f2, 0, act)
 
 
 # ---------------------------------------------------------------------------
