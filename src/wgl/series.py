@@ -553,6 +553,8 @@ def quasideterminant(A: SeriesMatrix, rows: Sequence[int], cols: Sequence[int],
     The floors are fixed in advance from the requested doubled floor f:
     (A_IcJc)^{-1}·A_IcJ to f - top(Q), where Q = A_IJc, and its product
     with Q to f.  A result that comes back short of f raises ArithmeticError.
+    With mul None the U(g) memo is cleared after the solve, and -Q·S is
+    formed from -Q, so the large product is not negated once more.
     """
     _check_corner(A, rows, cols)
     compI = [i for i in range(A.rows) if i not in rows]
@@ -565,7 +567,13 @@ def quasideterminant(A: SeriesMatrix, rows: Sequence[int], cols: Sequence[int],
               None if f2 is None else f2 - (Q.max_top2() or 0),
               None if row_scale is None else [row_scale[i] for i in compI],
               None if col_scale is None else [col_scale[j] for j in compJ])
-    return _deliver(P - Q.matmul(S, mul, f2), f2)
+    if mul is None:
+        # on the shifted matrix every row the solve left is headed by a
+        # letter e_{b,a} with a in Ic, and the corner product, whose left
+        # factors are letters of the rows I, needs few of them again (175
+        # of 29,108 on (2,1,1) at floor -5)
+        A.alg._lm_cache.clear()
+    return _deliver(P + (-Q).matmul(S, mul, f2), f2)
 
 
 def quasideterminant_by_definition(A: SeriesMatrix, rows: Sequence[int],

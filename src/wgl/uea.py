@@ -42,6 +42,15 @@ Coeff = Union[int, Fraction]
 # `quotient._left_action` straightens in the U(g) memo without `_fold`: it
 # reads the rows itself and applies this cap, so a change to the row layout
 # or to the cap must update it as well.
+# The stages that know their rows are done drop them sooner:
+# - `series.quasideterminant` on the U(g) product clears the U(g) memo
+#   between its complement solve and its corner product;
+# - `walgebra.build_L` returns with the action memo fresh, and on the lift
+#   route the U(g) memo too;
+# - the generators route (`walgebra.yangian_check_L`) clears the action
+#   memo once every coefficient is converted;
+# - `walgebra.conjecture_check` and `walgebra.relation_table_check` return
+#   with the action memo fresh.
 _LM_CACHE_CAP = 3_000_000
 
 
@@ -78,11 +87,13 @@ class Algebra:
         pairs.sort(key=lambda ab: (grading_class(partition, *ab), ab))
         self.letters: Tuple[Tuple[Box, Box], ...] = tuple(pairs)
         self.letter_id = {ab: n for n, ab in enumerate(pairs)}
-        # Presentation order: tuples of ranks sort exactly as tuples of letters.
+        # Presentation order: a letter's rank among the letters sorted by
+        # boxes, as one character, so strings of ranks sort exactly as
+        # tuples of letters.
         by_box = sorted(range(len(pairs)), key=pairs.__getitem__)
-        rank = [0] * len(pairs)
+        rank = [""] * len(pairs)
         for r, n in enumerate(by_box):
-            rank[n] = r
+            rank[n] = chr(r)
         self.letter_rank = tuple(rank)
         self.letter_json = tuple(((a.i, a.h), (b.i, b.h)) for a, b in pairs)
         self.cls = tuple(grading_class(partition, a, b) for a, b in pairs)
@@ -422,9 +433,16 @@ class UEAElement:
     # -- presentation -------------------------------------------------------------
 
     def sorted_terms(self):
+        """The (monomial, coeff) pairs in presentation order: shorter
+        monomials first, then letter by letter in the order of the boxes.
+
+        Each monomial's key is one string, chr(length) and then its letters'
+        `Algebra.letter_rank` characters.  It orders as the key (length,
+        tuple of ranks) does, at well under half the size.
+        """
         rank = self.alg.letter_rank.__getitem__
         return sorted(self.terms.items(),
-                      key=lambda mc: (len(mc[0]), tuple(map(rank, mc[0]))))
+                      key=lambda mc: chr(len(mc[0])) + "".join(map(rank, mc[0])))
 
     def to_text(self) -> str:
         if not self.terms:

@@ -234,7 +234,9 @@ def build_L(p: Partition, f2: Optional[int] = None, lift: bool = False) -> LOper
 
     No later stage reads the memo rows of the build: it returns with the
     action memo fresh (on the lift route an earlier stage may have filled
-    it), and the lift route clears the U(g) memo it filled.
+    it), and the lift route clears the U(g) memo it filled, as
+    `quasideterminant` already did between its solve and its corner
+    product.
     """
     p1 = p.parts[0]
     f2 = None if p.r == p.r1 and f2 is None else _floor2_for(p, f2)
@@ -1014,11 +1016,13 @@ def relation_table_check(g: WGenerators) -> dict:
     each bracket of its `FAMILIES` entry, the W-commutator of the two table
     entries must equal the expected value.  A witness names the bracket and
     the difference, commutator minus expected value.  The tests check
-    `w_product` against `ucirc_mul` on every pair of table entries."""
+    `w_product` against `ucirc_mul` on every pair of table entries.  It
+    returns with the action memo fresh."""
     T = g.table
     witnesses = [{"bracket": f"[{_w_text(a)}, {_w_text(b)}]", "difference": d.to_text()}
                  for a, b, want in _family(g.family)[2](g)
                  if not (d := w_commutator(T[a], T[b]) - want).is_zero()]
+    Algebra(g.partition)._act_cache.clear()
     return _report("relations", g.partition, None, not witnesses, witnesses,
                    family=g.family, generators=len(g.table))
 
@@ -1036,7 +1040,8 @@ def conjecture_check(p: Partition, g: WGenerators, f2: Optional[int] = None) -> 
     top-left - top-right * inverse(bottom-right) * bottom-left (the
     submatrix route of `quasideterminant`), and the bottom-right block has
     the invertible diagonal -(-z)^{q_a} after scaling row a by z^{-q_a}.
-    f2 is the doubled floor of the comparison.
+    f2 is the doubled floor of the comparison.  It returns with the action
+    memo fresh.
     """
     alg = Algebra(p)
     r, r1 = p.r, p.r1
@@ -1054,4 +1059,5 @@ def conjecture_check(p: Partition, g: WGenerators, f2: Optional[int] = None) -> 
     L = build_L(p, f2)
     cand = quasideterminant(M, range(r1), range(r1), L.floor2, w_product,
                             row_scale=[-2 * q for q in p.parts])
+    alg._act_cache.clear()
     return _first_diff_report("conjecture", p, L.floor2, L.reduced, cand, family=g.family)

@@ -116,6 +116,36 @@ def test_text_rendering_is_sorted_and_stable(gl2):
     assert x.to_text() == "1 - 2*e[(1,1),(2,1)] + e[(2,1),(1,1)]"
 
 
+@pytest.mark.parametrize("parts, lengths", [
+    ((2, 1, 1), range(5)),
+    # 289 letters: ranks past 255 widen the key strings
+    ((17,), range(5)),
+    # lengths past 255 widen the first character
+    ((2, 1), (0, 1, 254, 255, 256, 300)),
+])
+def test_sort_keys_order_as_length_then_letters(parts, lengths):
+    alg = Algebra(Partition(parts))
+    n = len(alg.letters)
+    assert all(type(r) is str and len(r) == 1 for r in alg.letter_rank)
+    assert sorted(range(n), key=alg.letter_rank.__getitem__) \
+        == sorted(range(n), key=alg.letters.__getitem__)
+    rng = random.Random(n)
+    for _ in range(20):
+        # random words, not PBW-ordered: the sort reads only the letters;
+        # words of one length share prefixes, so ties go deep
+        stem = [rng.randrange(n) for _ in range(max(lengths))]
+        terms = {}
+        for _ in range(12):
+            k = rng.choice(lengths)
+            word = stem[:k]
+            if k:
+                word[rng.randrange(k)] = rng.randrange(n)
+            terms[tuple(word)] = rng.choice([-1, 2])
+        x = uea.UEAElement(alg, terms)
+        want = sorted(terms, key=lambda m: (len(m), tuple(alg.letters[ell] for ell in m)))
+        assert [m for m, _ in x.sorted_terms()] == want
+
+
 # ---------------------------------------------------------------------------
 # property tests
 

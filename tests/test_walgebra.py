@@ -341,6 +341,42 @@ def test_build_L_in_M_ends_with_a_fresh_action_memo():
         assert _fresh(alg._lm_cache) if lift else len(alg._lm_cache) == before
 
 
+@pytest.mark.parametrize("check", ["conjecture", "relations"])
+def test_checks_end_with_a_fresh_action_memo(check):
+    p = Partition((2, 1, 1))
+    g = family_generators(p, "minimal")
+    rep = conjecture_check(p, g, -10) if check == "conjecture" else relation_table_check(g)
+    assert rep["pass"]
+    assert _fresh(Algebra(p)._act_cache)
+
+
+def test_lift_route_multiplies_the_corner_from_a_fresh_U_memo(monkeypatch):
+    import wgl.series
+
+    p = Partition((2, 1, 1))
+    space = Algebra(p)._lm_cache
+    seen = []
+    solve_ = wgl.series.solve
+    matmul = SeriesMatrix.matmul
+
+    def solve_spy(*args):
+        out = solve_(*args)
+        seen.append(("solve", len(space)))
+        return out
+
+    def matmul_spy(self, other, mul=None, floor2=None):
+        seen.append(("matmul", _fresh(space)))
+        return matmul(self, other, mul, floor2)
+
+    monkeypatch.setattr(wgl.series, "solve", solve_spy)
+    monkeypatch.setattr(SeriesMatrix, "matmul", matmul_spy)
+    build_L(p, -10, lift=True)
+    # the solve leaves its rows; the corner product, the last one, starts
+    # from a fresh memo
+    assert seen[-2][0] == "solve" and seen[-2][1] > 0
+    assert seen[-1] == ("matmul", True)
+
+
 def test_generators_route_commutes_from_a_fresh_action_memo(L_2111_at_minus_4, monkeypatch):
     alg = Algebra(L_2111_at_minus_4.partition)
     seen = []
