@@ -205,8 +205,15 @@ def _render_report(rep: dict) -> str:
     return "\n".join(lines)
 
 
-def _finish(rep: dict, args) -> int:
-    """Print the report, with --seed echoed into it, and give the exit code."""
+def _finish(args, which: str, p, f2, stage, **extras) -> int:
+    """Run the stage, a thunk that gives a report, print the report with
+    --seed echoed into it, and give the exit code.  An ArithmeticError from
+    the stage is the one failure path: it becomes the failed report of check
+    `which` on p at the doubled floor f2, with the extras and the error."""
+    try:
+        rep = stage()
+    except ArithmeticError as exc:
+        rep = _report(which, p, f2, False, [{"error": str(exc)}], **extras)
     if args.seed is not None:
         rep["seed"] = args.seed
     _emit(rep, args.format, lambda: _render_report(rep))
@@ -292,29 +299,18 @@ def _cmd_check(args) -> int:
     if which in ("capelli", "identities"):
         if args.n is None:
             raise ValueError(f"check {which} requires --n")
-        rep = capelli_suite(args.n) if which == "capelli" \
-            else rho_det_identities(args.n)
-        return _finish(rep, args)
+        suite = capelli_suite if which == "capelli" else rho_det_identities
+        return _finish(args, which, None, None, lambda: suite(args.n), n=args.n)
 
     if args.partition is None:
         raise ValueError(f"check {which} requires --partition")
     p = _partition(args.partition)
     f2 = _parse_floor(args.floor)
-
-    try:
-        if which == "main-lemma":
-            rep = main_lemma_check(p, f2)
-        elif which == "membership":
-            rep = w_membership_check(build_L(p, f2))
-        elif which == "yangian":
-            rep = yangian_check_L(build_L(p, f2))
-        elif which == "premet":
-            rep = premet_check(_generators_for(p, args.family))
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown check {which!r}")
-    except ArithmeticError as exc:
-        rep = _report(which, p, f2, False, [{"error": str(exc)}])
-    return _finish(rep, args)
+    return _finish(args, which, p, f2, {
+        "main-lemma": lambda: main_lemma_check(p, f2),
+        "membership": lambda: w_membership_check(build_L(p, f2)),
+        "yangian": lambda: yangian_check_L(build_L(p, f2)),
+        "premet": lambda: premet_check(_generators_for(p, args.family))}[which])
 
 
 def _cmd_generators(args) -> int:
@@ -325,11 +321,8 @@ def _cmd_generators(args) -> int:
 
 def _cmd_relations(args) -> int:
     p = _partition(args.partition)
-    try:
-        rep = relation_table_check(_generators_for(p, args.family))
-    except ArithmeticError as exc:
-        rep = _report("relations", p, None, False, [{"error": str(exc)}])
-    return _finish(rep, args)
+    return _finish(args, "relations", p, None,
+                   lambda: relation_table_check(_generators_for(p, args.family)))
 
 
 def _cmd_conjecture(args) -> int:
@@ -342,11 +335,7 @@ def _cmd_conjecture(args) -> int:
     else:
         g = _generators_for(p, args.family)
     f2 = _parse_floor(args.floor)
-    try:
-        rep = conjecture_check(p, g, f2)
-    except ArithmeticError as exc:
-        rep = _report("conjecture", p, f2, False, [{"error": str(exc)}])
-    return _finish(rep, args)
+    return _finish(args, "conjecture", p, f2, lambda: conjecture_check(p, g, f2))
 
 
 # ---------------------------------------------------------------------------

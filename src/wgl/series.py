@@ -104,13 +104,6 @@ class SeriesElem:
     def __setattr__(self, name, value):
         raise AttributeError("SeriesElem is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_element(cls, alg: Algebra, elem: UEAElement) -> "SeriesElem":
-        """The exact constant series elem."""
-        return cls(alg, {0: elem})
-
     # -- inspection --------------------------------------------------------
 
     def coeff2(self, n2: int) -> UEAElement:

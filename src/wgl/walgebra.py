@@ -138,29 +138,30 @@ def _reduce_series(se: SeriesElem) -> SeriesElem:
 # the shifted matrix and L(z)
 
 
+def _letter_matrix(alg: Algebra, top2: Optional[int] = None) -> SeriesMatrix:
+    """E, the matrix of constant series with e_{b,a} in row a, column b (the
+    source convention for operators of Yangian type); with top2, only the
+    letters of doubled degree <= top2, the others read as 0."""
+    def entry(a, b):
+        lid = alg.letter_id[(b, a)]
+        keep = top2 is None or alg.deg2[lid] <= top2
+        return SeriesElem(alg, {0: alg.gen_by_id(lid)} if keep else {})
+    return SeriesMatrix(alg, [[entry(a, b) for b in alg.boxes] for a in alg.boxes])
+
+
 def build_shifted_matrix(p: Partition) -> SeriesMatrix:
     """z*1 + F + (degree <= 1/2 part of E) + D, in the box basis.
 
-    Row a, column b carries e_{b,a} (the source convention for operators of
-    Yangian type), kept only when its ad-x eigenvalue is at most 1/2; on top
-    of that the nilpotent F contributes a 1 in row (i,h+1), column (i,h),
-    and the diagonal gets z plus the column-count correction d_a.
+    E is `_letter_matrix`, cut to the letters whose ad-x eigenvalue is at
+    most 1/2; the nilpotent F puts a 1 in row (i,h+1), column (i,h), and
+    the diagonal gets z plus the column-count correction d_a of D.
     """
     alg = Algebra(p)
-    D = shift_matrix(p)
-    rows = []
-    for ia, a in enumerate(alg.boxes):
-        row = []
-        for ib, b in enumerate(alg.boxes):
-            lid = alg.letter_id[(b, a)]
-            x = alg.gen_by_id(lid) if alg.deg2[lid] <= 1 else alg.zero()
-            c = (b == (a.i, a.h - 1)) + (D[ia, ia] if ia == ib else 0)
-            terms = {0: x + alg.scalar(c) if c else x}
-            if ia == ib:
-                terms[2] = alg.one()
-            row.append(SeriesElem(alg, terms))
-        rows.append(row)
-    return SeriesMatrix(alg, rows)
+    bs, D = alg.boxes, shift_matrix(p)
+    FD = ScalarMatrix.from_rows([[(b == (a.i, a.h - 1)) + D[ia, ib] for ib, b in enumerate(bs)]
+                                 for ia, a in enumerate(bs)])
+    return (_letter_matrix(alg, 1) + SeriesMatrix.from_scalar(alg, FD)
+            + SeriesMatrix.from_scalar(alg, ScalarMatrix.diag([1] * p.N), 2))
 
 
 def _inner_scales(p: Partition):
@@ -265,19 +266,6 @@ def _check_start(S: SeriesMatrix, t2: int, c: int, what: str) -> None:
 # the Laurent-expansion identity
 
 
-def _weighted_E(alg: Algebra) -> SeriesMatrix:
-    """T with entry (a,b) = z^{deg(e_{b,a}) - 1} e_{b,a}; 1 + T is the
-    weighted matrix whose corner quasideterminant expands the identity."""
-    rows = []
-    for a in alg.boxes:
-        row = []
-        for b in alg.boxes:
-            lid = alg.letter_id[(b, a)]
-            row.append(SeriesElem(alg, {alg.deg2[lid] - 2: alg.gen_by_id(lid)}, None))
-        rows.append(row)
-    return SeriesMatrix(alg, rows)
-
-
 def main_lemma_sides(p: Partition, f2: Optional[int] = None):
     """Both sides of the expansion identity as r1 x r1 series over the
     quotient module: the corner quasideterminant of 1 + z^{-D}E applied to
@@ -287,13 +275,15 @@ def main_lemma_sides(p: Partition, f2: Optional[int] = None):
     on M at the corner positions (`corner_positions`): a solve against the
     identity columns at the corner rows (a seed that is already reduced),
     then the inversion of the corner series.  Entry (a,b) of z^{-D}E is
-    z^{(x(b)-x(a))/2 - 1} e_{b,a}, so the row scale z^{x(a)/2} and the
-    column scale z^{-x(b)/2} make every entry of the weighted letters a pure
-    z^{-1} term: the identity is the top pivot, and the solve fixes the
-    depth of each term from f2, the requested doubled floor.  The corner
-    series is itself invariant (the inverse of an invariant series with
-    scalar leading coefficient), so its inversion may run in the action on
-    M, the W-product there.  It starts with ±1 at z^0, so top2 is 0.
+    z^{(x(b)-x(a))/2 - 1} e_{b,a}: the letter matrix E (`_letter_matrix`)
+    with row a scaled by z^{-1-x(a)/2} and column b by z^{x(b)/2}.  So the
+    solve's row scale z^{x(a)/2} and column scale z^{-x(b)/2} make every
+    entry of the weighted letters a pure z^{-1} term: the identity is the
+    top pivot, and the solve fixes the depth of each term from f2, the
+    requested doubled floor.  The corner series is itself invariant (the
+    inverse of an invariant series with scalar leading coefficient), so its
+    inversion may run in the action on M, the W-product there.  It starts
+    with ±1 at z^0, so top2 is 0.
     """
     alg = Algebra(p)
     p1 = p.parts[0]
@@ -301,9 +291,10 @@ def main_lemma_sides(p: Partition, f2: Optional[int] = None):
     if f2 > -2 * p1:
         raise ValueError(f"floor must be at most -p1 = {-p1}")
     xs = [x_coord(p, b) for b in boxes(p)]
-    lhs = quasideterminant_by_definition(
-        SeriesMatrix.identity(alg, p.N) + _weighted_E(alg), *corner_positions(p), f2, 0,
-        act, xs, [-x for x in xs])
+    A = SeriesMatrix.identity(alg, p.N) \
+        + _letter_matrix(alg).scale_rows([-2 - x for x in xs]).scale_cols(xs)
+    lhs = quasideterminant_by_definition(A, *corner_positions(p), f2, 0, act, xs,
+                                         [-x for x in xs])
     _check_start(lhs, 0, (-1) ** (p1 - 1), "the corner quasideterminant")
 
     L = build_L(p, None if p.r == p.r1 else f2 + 2 * p1)
@@ -450,15 +441,21 @@ def rho_det_identities(N: int) -> dict:
 
     (a) projecting the row determinant of E + D to the quotient equals the
         row determinant of the projected matrix (with F added), for D = 0
-        and for the Capelli shift; the left side is built here, the right
-        side is the z^0 coefficient of the row determinant of the shifted
-        matrix (`build_shifted_matrix`), whose D is the Capelli shift
-        diag(0,-1,...,-N+1), with D taken off for D = 0;
+        and for the Capelli shift; the left side is the letter matrix E
+        (`_letter_matrix`) plus D, the right side is the z^0 coefficient of
+        the row determinant of the shifted matrix (`build_shifted_matrix`),
+        whose D is the Capelli shift diag(0,-1,...,-N+1) of `shift_matrix`,
+        with D taken off for D = 0;
     (b) at N = 2, the row- and column-ordered determinants differ by
         e11 - e22 after projection;
     (c) on the shifted matrix, row determinant = column determinant, and
         the corner quasideterminant is (-1)^(N+1) times them — the usual
-        cofactor sign, which disappears for odd N — all exactly.
+        cofactor sign, which disappears for odd N — all exactly;
+    (d) at floor -6, both quasideterminant routes agree with (c), and the
+        mixed inverse commutator identity holds for z*1 + E.
+
+    Each exact identity is one comparison whose witness, on failure, is
+    the text of lhs - rhs.
     """
     if not 1 <= N <= _MAX_N:
         raise ValueError(f"N = {N} outside 1..{_MAX_N}")
@@ -467,49 +464,34 @@ def rho_det_identities(N: int) -> dict:
     results = []
     witnesses = []
 
-    def elem(i, j):
-        # entry (i,j) of the generator matrix: e_{ji}
-        return alg.gen(Box(1, j), Box(1, i))
-
     def note(name, ok, detail=None):
         results.append({"identity": name, "pass": bool(ok)})
         if not ok:
             witnesses.append({"identity": name, "detail": detail})
 
+    def note_equal(name, lhs, rhs):
+        ok = lhs == rhs
+        note(name, ok, None if ok else (lhs - rhs).to_text())
+
+    E, D = _letter_matrix(alg), SeriesMatrix.from_scalar(alg, shift_matrix(p))
     A = build_shifted_matrix(p)
     rd = noncomm_det(A, "row")
-    no_D = A - SeriesMatrix.from_scalar(alg, shift_matrix(p))
-    for tag, dvals, right in (("D=0", [0] * N, noncomm_det(no_D, "row")),
-                              ("D=capelli", [-i for i in range(N)], rd)):
-        Erows = [[SeriesElem.from_element(
-            alg, elem(i + 1, j + 1) + (alg.scalar(dvals[i]) if i == j else alg.zero()))
-            for j in range(N)] for i in range(N)]
-        lhs = reduce_mod_I(noncomm_det(SeriesMatrix(alg, Erows), "row").coeff2(0))
-        rhs = reduce_mod_I(right.coeff2(0))
-        ok = lhs == rhs
-        note(f"project(rdet(E+D)) = rdet(proj E + F + D), {tag}", ok,
-             None if ok else (lhs - rhs).to_text())
+    for tag, left, right in (("D=0", E, A - D), ("D=capelli", E + D, A)):
+        note_equal(f"project(rdet(E+D)) = rdet(proj E + F + D), {tag}",
+                   reduce_mod_I(noncomm_det(left, "row").coeff2(0)),
+                   reduce_mod_I(noncomm_det(right, "row").coeff2(0)))
 
     if N == 2:
-        Erows = [[SeriesElem.from_element(alg, elem(i + 1, j + 1))
-                  for j in range(2)] for i in range(2)]
-        EM = SeriesMatrix(alg, Erows)
-        lhs = reduce_mod_I(noncomm_det(EM, "row").coeff2(0))
-        rhs = reduce_mod_I(noncomm_det(EM, "column").coeff2(0)) \
-            + reduce_mod_I(elem(1, 1) - elem(2, 2))
-        ok = lhs == rhs
-        note("project(rdet E) - project(cdet E) = e11 - e22", ok,
-             None if ok else (lhs - rhs).to_text())
+        note_equal("project(rdet E) - project(cdet E) = e11 - e22",
+                   reduce_mod_I(noncomm_det(E, "row").coeff2(0)),
+                   reduce_mod_I(noncomm_det(E, "column").coeff2(0))
+                   + reduce_mod_I(E.data[0][0].coeff2(0) - E.data[1][1].coeff2(0)))
 
+    note_equal("rdet(shifted) = cdet(shifted)", rd, noncomm_det(A, "column"))
     corner, scales = corner_positions(p), _inner_scales(p)
-    cd = noncomm_det(A, "column")
     qd = quasideterminant(A, *corner, None, None, *scales).data[0][0]
-    sign = (-1) ** (N + 1)
-    sd = rd if sign == 1 else -rd
-    note("rdet(shifted) = cdet(shifted)", rd == cd,
-         None if rd == cd else (rd - cd).to_text())
-    note("corner quasideterminant = (-1)^(N+1) rdet(shifted)", sd == qd,
-         None if sd == qd else (sd - qd).to_text())
+    note_equal("corner quasideterminant = (-1)^(N+1) rdet(shifted)",
+               rd if N % 2 else -rd, qd)
     # both quasideterminant routes must also agree with it under truncation
     f2 = -12     # z^-6
     routes = {
@@ -523,11 +505,7 @@ def rho_det_identities(N: int) -> dict:
 
     # commutator of a matrix entry with an entry of its inverse, expanded
     # into the delta-sum form, for z*1 + E at floor -6
-    zrows = [[SeriesElem(alg,
-                         {2: alg.one(), 0: elem(i + 1, j + 1)} if i == j
-                         else {0: elem(i + 1, j + 1)}, f2)
-              for j in range(N)] for i in range(N)]
-    Z = SeriesMatrix(alg, zrows)
+    Z = (SeriesMatrix.from_scalar(alg, ScalarMatrix.diag([1] * N), 2) + E).truncate2(f2)
     mok, mwit = inverse_mixed_identity_check(Z, invert_matrix(Z, f2))
     note("mixed inverse commutator identity at floor -6", mok,
          None if mok else mwit[:3])
@@ -1040,17 +1018,14 @@ def conjecture_check(p: Partition, g: WGenerators, f2: Optional[int] = None) -> 
     top-left - top-right * inverse(bottom-right) * bottom-left (the
     submatrix route of `quasideterminant`), and the bottom-right block has
     the invertible diagonal -(-z)^{q_a} after scaling row a by z^{-q_a}.
-    f2 is the doubled floor of the comparison.  It returns with the action
-    memo fresh.
+    That diagonal is the scalar matrix of the signs -(-1)^{q_a} with row a
+    scaled by z^{q_a}.  f2 is the doubled floor of the comparison.  It
+    returns with the action memo fresh.
     """
     alg = Algebra(p)
     r, r1 = p.r, p.r1
-    W = g.wmatrix()
-    diag = SeriesMatrix(alg, [
-        [SeriesElem(alg, {2 * p.parts[i]: alg.scalar(-((-1) ** p.parts[i]))}
-                    if i == j else {}, None)
-         for j in range(r)] for i in range(r)])
-    M = diag + W
+    signs = ScalarMatrix.diag([-((-1) ** q) for q in p.parts])
+    M = SeriesMatrix.from_scalar(alg, signs).scale_rows([2 * q for q in p.parts]) + g.wmatrix()
 
     if r == r1 and f2 is not None:
         # the comparison is exact, so a given floor is only range-checked

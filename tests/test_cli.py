@@ -352,6 +352,36 @@ def test_failure_report_renders_the_parsed_floor(capsys, monkeypatch):
         assert rep["witnesses"] == [{"error": "stopped at floor -10"}]
 
 
+@pytest.mark.parametrize("stage, argv, want", [
+    ("build_L", ("check", "membership", "--partition", "2,1", "--floor", "-3/2"),
+     ("membership", "2,1", "-3/2", None)),
+    ("build_L", ("check", "yangian", "--partition", "3,1", "--floor", "-2"),
+     ("yangian", "3,1", "-2", None)),
+    ("premet_check", ("check", "premet", "--partition", "2,1"), ("premet", "2,1", None, None)),
+    ("relation_table_check", ("relations", "--partition", "2,2"),
+     ("relations", "2,2", None, None)),
+    ("conjecture_check", ("conjecture", "--partition", "2,1", "--floor", "-3"),
+     ("conjecture", "2,1", "-3", None)),
+    ("capelli_suite", ("check", "capelli", "--n", "3"), ("capelli", None, None, 3)),
+    ("rho_det_identities", ("check", "identities", "--n", "2"),
+     ("identities", None, None, 2)),
+], ids=["membership", "yangian", "premet", "relations", "conjecture", "capelli",
+        "identities"])
+def test_an_arithmetic_error_in_any_stage_is_a_failed_report(capsys, monkeypatch, stage,
+                                                            argv, want):
+    import wgl.cli
+
+    def fail(*args):
+        raise ArithmeticError("stage stopped")
+
+    monkeypatch.setattr(wgl.cli, stage, fail)
+    code, out, err = run(capsys, *argv, "--seed", "7", "--format", "json")
+    rep = json.loads(out)
+    assert (code, err) == (1, "")
+    assert (rep["check"], rep["partition"], rep["floor"], rep.get("n")) == want
+    assert (rep["pass"], rep["witnesses"], rep["seed"]) == (False, [{"error": "stage stopped"}], 7)
+
+
 def test_floor_equal_to_the_largest_part_is_accepted(capsys):
     code, out, _ = run(capsys, "L", "--partition", "2,1", "--floor", "2",
                        "--format", "json")

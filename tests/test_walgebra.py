@@ -20,8 +20,8 @@ from wgl.walgebra import (
     _check_start,
     _generating_family,
     _inner_scales,
+    _letter_matrix,
     _reduce_series,
-    _weighted_E,
     build_L,
     build_shifted_matrix,
     capelli_suite,
@@ -29,6 +29,7 @@ from wgl.walgebra import (
     default_floor,
     family_generators,
     main_lemma_check,
+    main_lemma_sides,
     premet_check,
     relation_table_check,
     rho_det_identities,
@@ -66,6 +67,63 @@ def test_shifted_matrix_has_F_below_the_diagonal_of_each_row():
         for ib, b in enumerate(bs):
             if ia != ib:
                 assert A.data[ia][ib].coeff2(0).terms.get((), 0) == (a.i == b.i and a.h == b.h + 1)
+
+
+_MATRIX_SHAPES = [(2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2, 1), (2, 2, 1), (1, 1, 1), (3,)]
+
+
+def _pyramid(parts):
+    """The boxes (i, h) row by row, each with its doubled x-coordinate
+    p_i + 1 - 2h: every row is centred on x = 0, and x falls by one unit
+    from box h to box h + 1."""
+    return [(Box(i, h), q + 1 - 2 * h) for i, q in enumerate(parts, 1)
+            for h in range(1, q + 1)]
+
+
+@pytest.mark.parametrize("parts", _MATRIX_SHAPES)
+def test_shifted_matrix_entries_are_the_papers(parts):
+    # z^0: e_{b,a}·[deg e_{b,a} <= 1/2] + [b = (i,h-1)] + delta_ab·d_a, with
+    # deg e_{b,a} = (x(b) - x(a))/2 and d_a = -#{c : x(c) >= x(a) + 2};
+    # z^1: delta_ab
+    A = build_shifted_matrix(Partition(parts))
+    alg, pyr = A.alg, _pyramid(parts)
+    for ia, (a, xa) in enumerate(pyr):
+        for ib, (b, xb) in enumerate(pyr):
+            want0 = alg.gen(b, a) if xb - xa <= 1 else alg.zero()
+            want0 = want0 + alg.scalar(int(b == (a.i, a.h - 1)))
+            if a == b:
+                want0 = want0 + alg.scalar(-sum(1 for _, xc in pyr if xc >= xa + 2))
+            want = {0: want0, 2: alg.one() if a == b else alg.zero()}
+            got = A.data[ia][ib]
+            assert got.floor2 is None
+            assert got.terms == {n2: c for n2, c in want.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("parts", _MATRIX_SHAPES)
+def test_main_lemma_matrix_entries_are_the_papers(parts, monkeypatch):
+    # 1 + z^{-D}E has entry delta_ab + z^{deg(e_{b,a}) - 1}·e_{b,a}, read
+    # off the matrix that main_lemma_sides hands to the definition route
+    import wgl.walgebra
+
+    class Seen(Exception):
+        pass
+
+    def seen(A, *args):
+        raise Seen(A)
+
+    monkeypatch.setattr(wgl.walgebra, "quasideterminant_by_definition", seen)
+    p = Partition(parts)
+    with pytest.raises(Seen) as info:
+        main_lemma_sides(p, -4 * p.parts[0] - 8)
+    A, pyr = info.value.args[0], _pyramid(parts)
+    alg = A.alg
+    for ia, (a, xa) in enumerate(pyr):
+        for ib, (b, xb) in enumerate(pyr):
+            want = {xb - xa - 2: alg.gen(b, a)}
+            if a == b:
+                want = {0: alg.one(), **want}
+            got = A.data[ia][ib]
+            assert got.floor2 is None and got.terms == want
 
 
 def test_default_floor_scales_with_largest_part():
@@ -523,7 +581,8 @@ def test_solve_is_a_right_inverse_of_the_weighted_matrix(parts):
     p, f2 = Partition(parts), -10
     alg = Algebra(p)
     xs = [x_coord(p, b) for b in boxes(p)]
-    A = SeriesMatrix.identity(alg, p.N) + _weighted_E(alg)
+    A = SeriesMatrix.identity(alg, p.N) \
+        + _letter_matrix(alg).scale_rows([-2 - x for x in xs]).scale_cols(xs)
     rows, cols = corner_positions(p)
     I1 = SeriesMatrix.identity(alg, p.N).submatrix(range(p.N), rows)
     X = _check_right_inverse(A, I1, act, f2, xs, [-x for x in xs])
@@ -538,7 +597,8 @@ def test_the_definition_route_gives_the_main_lemma_corner_with_the_scales():
     p, f2 = Partition((2, 1)), -8
     alg = Algebra(p)
     xs = [x_coord(p, b) for b in boxes(p)]
-    A = SeriesMatrix.identity(alg, p.N) + _weighted_E(alg)
+    A = SeriesMatrix.identity(alg, p.N) \
+        + _letter_matrix(alg).scale_rows([-2 - x for x in xs]).scale_cols(xs)
     lhs = quasideterminant_by_definition(A, *corner_positions(p), f2, 0, act, xs,
                                          [-x for x in xs])
     _check_start(lhs, 0, (-1) ** (p.parts[0] - 1), "the corner")
